@@ -9,7 +9,9 @@ load-bearing details, matched one-to-one against the kernel bodies:
 * Inner chunk scans run within independent 32-element chunks: the serial
   scan is ``np.add.accumulate`` (defined sequentially, identical to the
   register loop of Alg. 2); the parallel warp scans are emulated stage by
-  stage as masked shifted adds with the kernels' exact lane predicates.
+  stage, in place: each stage adds the shuffled operand to exactly the
+  lanes the kernels' predicates enable (``-0.0``, which changes no value,
+  to the rest), in the kernels' ``data + val`` operand order.
 * The cross-warp fix-up (Fig. 3c) is a *serial left-associated* walk over
   per-chunk totals — not one big ``cumsum`` over the row, which would
   associate float additions differently.
@@ -25,10 +27,19 @@ load-bearing details, matched one-to-one against the kernel bodies:
 Integer accumulators are exempt from all of the association rules:
 wrapping integer addition is associative and commutative, so *any*
 summation order is bit-identical.  :func:`int_row_scan` and
-:func:`int_col_scan` exploit that — plain whole-axis accumulates, in
-place, no chunking — and implement both physical axes so integer plans
-run transpose-free under the executor's layout propagation
+:func:`int_col_scan` exploit that — plain whole-axis scans, no chunking —
+and implement both physical axes so integer plans run transpose-free
+under the executor's layout propagation
 (:class:`~repro.compile.lower.CompiledPlan`).
+
+In-place contract: every scan here may overwrite the array it is given —
+the warp scans, :func:`serial_chunk_scan` and the integer scans always
+do; the float row programs do when the array is contiguous and scan a
+private copy otherwise — and returns the result, which may alias that
+array.  The array must therefore be private to the call: a pass body owns
+the stack :meth:`~repro.compile.lower.CompiledPlan.run` hands it, and the
+warp scans own the chunk views their pass body passes in.  Nothing here
+writes to any other array.
 """
 
 from __future__ import annotations
@@ -68,84 +79,128 @@ def int_row_scan(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=-1, dtype=x.dtype, out=x)
 
 
-def int_col_scan(x: np.ndarray) -> np.ndarray:
-    """Whole-column inclusive scan down axis 1 of a stack, in place.
+#: Row-slab size (elements of ``x[..., h, :]``) from which
+#: :func:`int_col_scan` switches from one strided accumulate to the
+#: row-at-a-time loop.
+COL_SCAN_LOOP_SLAB = 512
 
-    A row-at-a-time running sum: each step adds one full contiguous row
-    slab, which vectorises far better than ``np.add.accumulate(axis=1)``
-    (strided inner loop) or a transpose round-trip.  Integer-only, like
-    :func:`int_row_scan`.
+
+def int_col_scan(x: np.ndarray) -> np.ndarray:
+    """Whole-column inclusive scan down axis -2 of a stack, in place.
+
+    Two equivalent forms, chosen by the stack's shape alone.  When a row
+    slab ``x[..., h, :]`` holds fewer than :data:`COL_SCAN_LOOP_SLAB`
+    elements (e.g. one image up to 511 wide), a single
+    ``np.add.accumulate(axis=-2)`` is fastest: the per-row Python step
+    would dominate.  From about 512-wide slabs (a 512² image, or a stack
+    of four 128² ones) the strided accumulate loses to a row-at-a-time
+    running sum, whose every step adds one whole contiguous slab (1024²
+    int32: 2.0 ms against 10.8 ms on an Intel Xeon vCPU with AVX-512).
+    Integer-only, like :func:`int_row_scan`, so both forms are
+    bit-identical.
     """
+    if x.shape[-2] and x.size // x.shape[-2] < COL_SCAN_LOOP_SLAB:
+        return np.add.accumulate(x, axis=-2, dtype=x.dtype, out=x)
     for h in range(1, x.shape[-2]):
         np.add(x[..., h, :], x[..., h - 1, :], out=x[..., h, :])
     return x
 
-_LANE = np.arange(32)
+
+def _add_in_place(dst: np.ndarray, val: np.ndarray) -> None:
+    """``dst = dst + val``, in the kernels' ``data + val`` operand order."""
+    np.add(dst, val, out=dst)
 
 
-def _shift_up(x: np.ndarray, d: int) -> np.ndarray:
-    """``shfl_up(x, d)`` along the last (lane) axis: lanes below ``d``
-    keep their own value (they are masked out by every caller anyway)."""
-    v = np.empty_like(x)
-    v[..., :d] = x[..., :d]
-    v[..., d:] = x[..., :-d]
-    return v
+# The warp scans add a whole ``(..., 32)`` chunk at once: active lanes get
+# their shuffled operand, idle lanes ``-0.0``, the one addend that leaves
+# every value (``-0.0`` and NaN payloads included) unchanged.  Adding into
+# the active lane slices alone is not enough: NumPy's loops do not keep
+# the operand order for every slice length, so where both operands are
+# NaN the result's payload could differ from the interpreter's whole-warp
+# ``data + val``.  Whole 32-lane rows run the same loop as the interpreter.
+_IDLE = -0.0
+
+
+def _idle_like(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous all-idle scratch chunk shaped like ``x``."""
+    return np.full(x.shape, _IDLE, dtype=x.dtype)
+
+
+def _lane_add(x: np.ndarray, v: np.ndarray, dst, src) -> None:
+    """One predicated warp-scan stage, in place: lanes ``dst`` add lanes
+    ``src``.  ``v`` is an all-idle scratch chunk and is left that way."""
+    v[..., dst] = x[..., src]
+    _add_in_place(x, v)
+    v[..., dst] = _IDLE
 
 
 def kogge_stone_lowered(x: np.ndarray) -> np.ndarray:
-    """Alg. 3: stages ``i = 1..16``, lanes ``>= i`` add the value ``i``
-    lanes below (``data + val`` operand order, as ``add_where``)."""
+    """Alg. 3 in place: stages ``i = 1..16``, lanes ``>= i`` add the
+    value ``i`` lanes below."""
+    v = np.empty(x.shape, dtype=x.dtype)
     i = 1
     while i < 32:
-        v = _shift_up(x, i)
-        x = np.where(_LANE >= i, x + v, x)
+        v[..., :i] = _IDLE
+        v[..., i:] = x[..., :-i]
+        _add_in_place(x, v)
         i *= 2
     return x
 
 
 def ladner_fischer_lowered(x: np.ndarray) -> np.ndarray:
-    """Alg. 4: stage ``i`` broadcasts lane ``i-1`` of every ``2i``-wide
-    segment to the segment's upper half."""
+    """Alg. 4 in place: stage ``i`` adds lane ``i-1`` of every
+    ``2i``-wide segment to the segment's upper half."""
+    v = _idle_like(x)
     i = 1
     while i < 32:
-        seg = x.reshape(x.shape[:-1] + (32 // (2 * i), 2 * i))
-        v = np.broadcast_to(seg[..., i - 1 : i], seg.shape).reshape(x.shape)
-        x = np.where((_LANE & (2 * i - 1)) >= i, x + v, x)
+        shape = x.shape[:-1] + (32 // (2 * i), 2 * i)
+        # ``v`` is C-contiguous, so its reshape is a view; ``x`` is only
+        # read through its reshape.
+        vseg = v.reshape(shape)
+        vseg[..., i:] = x.reshape(shape)[..., i - 1:i]
+        _add_in_place(x, v)
+        vseg[..., i:] = _IDLE
         i *= 2
     return x
 
 
 def brent_kung_lowered(x: np.ndarray) -> np.ndarray:
-    """Brent-Kung: power-of-two up-sweep, inclusive down-sweep."""
+    """Brent-Kung in place: power-of-two up-sweep (lanes ``k*2d + 2d-1``
+    add the lane ``d`` below), then the inclusive down-sweep (lanes
+    ``k*2d + d-1``, ``k >= 1``, likewise)."""
+    v = _idle_like(x)
     d = 1
     while d < 32:
-        v = _shift_up(x, d)
-        x = np.where((_LANE & (2 * d - 1)) == (2 * d - 1), x + v, x)
+        _lane_add(x, v, slice(2 * d - 1, None, 2 * d),
+                  slice(d - 1, None, 2 * d))
         d *= 2
     d = 8
     while d >= 1:
-        v = _shift_up(x, d)
-        x = np.where(((_LANE & (2 * d - 1)) == (d - 1)) & (_LANE >= d), x + v, x)
+        _lane_add(x, v, slice(3 * d - 1, None, 2 * d),
+                  slice(2 * d - 1, 32 - d, 2 * d))
         d //= 2
     return x
 
 
 def han_carlson_lowered(x: np.ndarray) -> np.ndarray:
-    """Han-Carlson: pair, Kogge-Stone over odd lanes, even fix-up."""
-    odd = (_LANE & 1) == 1
-    x = np.where(odd, x + _shift_up(x, 1), x)
+    """Han-Carlson in place: odd lanes absorb their left neighbour,
+    Kogge-Stone runs over the odd lanes, even lanes ``>= 2`` fix up."""
+    v = _idle_like(x)
+    _lane_add(x, v, slice(1, None, 2), slice(0, None, 2))
     d = 2
     while d < 32:
-        x = np.where(odd & (_LANE >= d), x + _shift_up(x, d), x)
+        _lane_add(x, v, slice(d + 1, None, 2), slice(1, 32 - d, 2))
         d *= 2
-    return np.where((~odd) & (_LANE >= 1), x + _shift_up(x, 1), x)
+    _lane_add(x, v, slice(2, None, 2), slice(1, 31, 2))
+    return x
 
 
 def serial_chunk_scan(x: np.ndarray) -> np.ndarray:
-    """Alg. 2 on a ``(..., 32)`` chunk: ``np.add.accumulate`` is defined
-    sequentially, bit-identical to the per-register loop.  The dtype is
-    pinned — accumulate would otherwise widen sub-platform ints."""
-    return np.add.accumulate(x, axis=-1, dtype=x.dtype)
+    """Alg. 2 in place on a ``(..., 32)`` chunk: ``np.add.accumulate`` is
+    defined sequentially, bit-identical to the interpreter's fused
+    register-bank scan.  The dtype is pinned — accumulate would otherwise
+    widen sub-platform ints."""
+    return np.add.accumulate(x, axis=-1, dtype=x.dtype, out=x)
 
 
 #: Lane-wise warp-scan emulators on ``(..., 32)`` arrays, keyed by the
@@ -165,10 +220,11 @@ def chunked_row_scan(x: np.ndarray, wpb: int,
 
     ``x`` is ``(..., W)`` in the accumulator dtype with ``W % 32 == 0``;
     ``wpb`` is the recorded warps-per-block (the strip width in 32-wide
-    chunks); ``inner`` scans each independent ``(..., 32)`` chunk.  Every
-    leading axis is an independent row — bands and batch stacking
-    vectorise for free because blocks along the grid-parallel axis never
-    communicate.
+    chunks); ``inner`` scans each independent ``(..., 32)`` chunk in
+    place.  Every leading axis is an independent row — bands and batch
+    stacking vectorise for free because blocks along the grid-parallel
+    axis never communicate.  Scans ``x`` in place when it is contiguous
+    (a private copy otherwise) and returns the result.
     """
     lead = x.shape[:-1]
     nc = x.shape[-1] // 32
@@ -188,7 +244,8 @@ def chunked_row_scan(x: np.ndarray, wpb: int,
         off[..., 1:] = inc[..., : m - 1]
         offterm[..., k0:k0 + m] = off + carry[..., None]
         carry = carry + inc[..., m - 1]
-    return (s + offterm[..., None]).reshape(x.shape)
+    _add_in_place(s, offterm[..., None])
+    return s.reshape(x.shape)
 
 
 def carry_through_row_scan(x: np.ndarray,
@@ -197,21 +254,24 @@ def carry_through_row_scan(x: np.ndarray,
 
     Unlike the strip kernels, the carry is injected into lane 0 *before*
     the warp scan and propagates through it, so chunks are inherently
-    sequential; each chunk is still one vectorised whole-grid scan.  The
-    lane-0 add happens for chunk 0 too (``carry = const(0)``).
+    sequential; each chunk is still one vectorised whole-grid scan, run in
+    place on a chunk-major scratch copy.  The lane-0 add happens for
+    chunk 0 too (``carry = const(0)``).  Writes the result into ``x`` when
+    it is contiguous (a private copy otherwise) and returns it.
     """
     lead = x.shape[:-1]
     nc = x.shape[-1] // 32
     t = np.ascontiguousarray(x).reshape(lead + (nc, 32))
-    out = np.empty_like(t)
+    # Chunk-major private copy: every chunk scan runs on contiguous rows.
+    chunks = np.ascontiguousarray(np.moveaxis(t, -2, 0))
     carry = np.zeros(lead, dtype=x.dtype)
-    for k in range(nc):
-        chunk = t[..., k, :].copy()
-        chunk[..., 0] = chunk[..., 0] + carry
-        chunk = scan(chunk)
-        out[..., k, :] = chunk
+    for chunk in chunks:
+        _add_in_place(chunk[..., 0], carry)
+        scan(chunk)
+        # A view: this chunk is final, later chunks only read it.
         carry = chunk[..., 31]
-    return out.reshape(x.shape)
+    np.copyto(t, np.moveaxis(chunks, 0, -2))
+    return t.reshape(x.shape)
 
 
 # Cached fancy-index scatters for non-injective (or non-affine) lattices,

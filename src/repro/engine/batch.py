@@ -86,6 +86,9 @@ class BatchRun:
     #: Plan-cache hits/misses attributable to this call (one per image).
     plan_hits: int = 0
     plan_misses: int = 0
+    #: Images that ran without a launch plan (host backend, baselines,
+    #: sanitized runs): neither a hit nor a miss.
+    unplanned: int = 0
     #: ``(bucket, image count)`` per shape bucket, first-seen order.
     buckets: List[Tuple[Tuple[int, int], int]] = field(default_factory=list)
     #: Sector size the gmem counters were recorded with (for GB/s).
@@ -158,6 +161,7 @@ class BatchRun:
             "modeled_sequential_s": self.modeled_sequential_s,
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
+            "unplanned": self.unplanned,
             "plan_hit_rate": self.plan_hit_rate,
             "images_per_s_modeled": self.images_per_s,
             "wall_images_per_s": self.wall_images_per_s,
@@ -185,6 +189,7 @@ class BatchRun:
             modeled_sequential_s=float(d.get("modeled_sequential_s", 0.0)),
             plan_hits=int(d.get("plan_hits", 0)),
             plan_misses=int(d.get("plan_misses", 0)),
+            unplanned=int(d.get("unplanned", 0)),
             buckets=[(tuple(b), int(n)) for b, n in d.get("buckets", [])],
             sector_bytes=int(d.get("sector_bytes", 32)),
         )
@@ -320,12 +325,14 @@ class Engine:
             sp.attrs["modeled_sequential_s"] = run.modeled_sequential_s
             sp.attrs["plan_hits"] = run.plan_hits
             sp.attrs["plan_misses"] = run.plan_misses
+            sp.attrs["unplanned"] = run.unplanned
 
         m = get_metrics()
         m.counter("engine.batches", algorithm=algorithm).inc()
         m.counter("engine.images", algorithm=algorithm).inc(run.n_images)
         m.counter("engine.plan_hits").inc(run.plan_hits)
         m.counter("engine.plan_misses").inc(run.plan_misses)
+        m.counter("engine.unplanned").inc(run.unplanned)
         m.histogram("engine.modeled_batched_s", algorithm=algorithm).observe(
             run.modeled_batched_s
         )
@@ -338,6 +345,7 @@ class Engine:
         timeline_add("modeled_kernel_us", run.modeled_batched_s * 1e6)
         timeline_count("plan_hits", run.plan_hits)
         timeline_count("plan_misses", run.plan_misses)
+        timeline_count("unplanned", run.unplanned)
 
         if exclusive:
             for r in run.runs:
@@ -427,7 +435,7 @@ class Engine:
             pair=tp.name,
             modeled_batched_s=seq,
             modeled_sequential_s=seq,
-            plan_misses=len(imgs),
+            unplanned=len(imgs),
             buckets=[(im.shape, 1) for im in imgs],
             sector_bytes=dev.gmem_sector_bytes,
         )

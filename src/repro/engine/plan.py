@@ -199,6 +199,14 @@ class LaunchPlanCache:
         with self._lock:
             self.misses += n
 
+    def get(self, key: PlanKey) -> Optional[SatPlan]:
+        """The plan for ``key`` (refreshing its recency), or ``None``.
+
+        Lets a warm caller skip building the :class:`BatchSpec` that
+        :meth:`get_or_create` needs for a new plan.
+        """
+        return self._plans.get(key)
+
     def get_or_create(self, key: PlanKey, spec: BatchSpec) -> SatPlan:
         """The plan for ``key``, creating (and possibly evicting) as needed."""
         plan, _ = self._plans.get_or_create(

@@ -64,6 +64,7 @@ __all__ = [
     "get_default_config",
     "set_default_config",
     "resolve_execution",
+    "resolved_execution",
     "requested_backend",
 ]
 
@@ -117,14 +118,14 @@ class ExecutionConfig:
     def merged_over(self, other: "ExecutionConfig") -> "ExecutionConfig":
         """Layer ``self`` over ``other``: set fields of ``self`` win."""
         out = {}
-        for f in fields(self):
-            mine = getattr(self, f.name)
-            out[f.name] = mine if mine is not None else getattr(other, f.name)
+        for name in _FIELDS:
+            mine = getattr(self, name)
+            out[name] = mine if mine is not None else getattr(other, name)
         return ExecutionConfig(**out)
 
     @property
     def is_fully_resolved(self) -> bool:
-        return all(getattr(self, f.name) is not None for f in fields(self))
+        return all(getattr(self, name) is not None for name in _FIELDS)
 
     def compat_key(self) -> Tuple[Tuple[str, object], ...]:
         """Hashable compatibility key for request coalescing.
@@ -142,8 +143,7 @@ class ExecutionConfig:
         threads.
         """
         if not self.is_fully_resolved:
-            unset = [f.name for f in fields(self)
-                     if getattr(self, f.name) is None]
+            unset = [name for name in _FIELDS if getattr(self, name) is None]
             raise ValueError(
                 f"compat_key requires a fully resolved config; unset fields: "
                 f"{unset} (pass the result of resolve_execution())"
@@ -154,9 +154,14 @@ class ExecutionConfig:
         # coalescing — so an autotuned request batches with an explicit
         # request that spells the same decision by hand.
         return tuple(sorted(
-            (f.name, getattr(self, f.name)) for f in fields(self)
-            if f.name != "autotune"
+            (name, getattr(self, name)) for name in _FIELDS
+            if name != "autotune"
         ))
+
+
+#: The field names, in declaration order — resolution walks this tuple
+#: instead of calling :func:`dataclasses.fields` per call.
+_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(ExecutionConfig))
 
 
 #: Named execution profiles, selectable with ``REPRO_EXEC_PROFILE=<name>``
@@ -305,25 +310,26 @@ def resolve_execution(config: ConfigLike = None, **overrides) -> ExecutionConfig
     contexts (innermost first), the :func:`set_default_config` default,
     the per-field environment variables, the ``REPRO_EXEC_PROFILE``
     profile, and finally the built-in defaults — so the returned config
-    has no ``None`` fields.
+    has no ``None`` fields.  Contexts, defaults and the environment are
+    read on every call.
     """
-    unknown = set(overrides) - {f.name for f in fields(ExecutionConfig)}
-    if unknown:
-        raise TypeError(f"unknown execution fields: {sorted(unknown)}")
-    layers = [ExecutionConfig(**{k: v for k, v in overrides.items() if v is not None})]
-    if config is not None:
-        layers.append(_coerce(config))
+    for name in overrides:
+        if name not in _FIELDS:
+            unknown = sorted(set(overrides) - set(_FIELDS))
+            raise TypeError(f"unknown execution fields: {unknown}")
+    layers = [_coerce(config)] if config is not None else []
     layers.extend(reversed(_context_stack.get()))
     layers.append(_default_config)
 
     out = {}
     profile = _sentinel = object()
-    for f in (f.name for f in fields(ExecutionConfig)):
-        value = None
-        for layer in layers:
-            value = getattr(layer, f)
-            if value is not None:
-                break
+    for f in _FIELDS:
+        value = overrides.get(f)
+        if value is None:
+            for layer in layers:
+                value = getattr(layer, f)
+                if value is not None:
+                    break
         if value is None:
             value = _env_value(f)
         if value is None:
@@ -335,3 +341,18 @@ def resolve_execution(config: ConfigLike = None, **overrides) -> ExecutionConfig
             value = getattr(_BUILTIN, f)
         out[f] = value
     return ExecutionConfig(**out)
+
+
+def resolved_execution(config: ConfigLike = None,
+                       **overrides) -> ExecutionConfig:
+    """:func:`resolve_execution`, skipped when there is nothing to resolve.
+
+    A fully resolved per-call ``config`` with no explicit overrides is its
+    own resolution: it outranks every lower layer in every field.  The
+    algorithm entry points call this, so a config :func:`repro.sat`
+    already resolved is not resolved a second time.
+    """
+    if (isinstance(config, ExecutionConfig) and config.is_fully_resolved
+            and all(v is None for v in overrides.values())):
+        return config
+    return resolve_execution(config, **overrides)

@@ -106,9 +106,10 @@ class CostCounters:
         return out
 
     def copy(self) -> "CostCounters":
-        out = CostCounters()
-        for f in fields(self):
-            setattr(out, f.name, getattr(self, f.name))
+        # Every field is a float, so copying the instance dict is a full
+        # copy; it skips the per-field dataclass walk.
+        out = CostCounters.__new__(CostCounters)
+        out.__dict__.update(self.__dict__)
         return out
 
     # ------------------------------------------------------------------

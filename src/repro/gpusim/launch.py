@@ -128,7 +128,12 @@ class LaunchPlan:
         """
         if self.stats is None:
             raise RuntimeError("LaunchPlan.clone_stats() before record()")
-        return replace(self.stats, counters=self.stats.counters.copy())
+        # A shallow instance-dict copy: dataclasses.replace would re-run
+        # the field walk and __init__ on every warm call.
+        out = LaunchStats.__new__(LaunchStats)
+        out.__dict__.update(self.stats.__dict__)
+        out.counters = self.stats.counters.copy()
+        return out
 
 
 def replay_kernel(

@@ -61,6 +61,10 @@ BASELINE_ALGORITHMS: Dict[str, Callable[..., SatRun]] = {
 
 ALGORITHMS: Dict[str, Callable[..., SatRun]] = {**PAPER_ALGORITHMS, **BASELINE_ALGORITHMS}
 
+#: Execution knobs ``sat()`` accepts among its ``**opts``; they resolve
+#: with the rest of the config instead of reaching the algorithm.
+_MODE_OPTS = ("fused", "sanitize", "bounds_check")
+
 # Imported after the kernel modules above so their spec registration has
 # happened; repro.plan pulls in repro.engine, whose BATCH_SPECS snapshot
 # needs the registry populated.
@@ -190,9 +194,17 @@ def sat(
             f"{image.shape}"
         )
     tp = _resolve_pair(image, pair)
+    if algorithm not in (None, "auto") and algorithm not in ALGORITHMS:
+        raise KeyError(
+            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
+        )
+    # The call's one config resolution: the planner, the spec'd algorithm
+    # and its backend all receive this resolved config.
+    res = resolve_execution(
+        config, backend=backend, device=device, autotune=autotune,
+        **{k: opts.pop(k) for k in _MODE_OPTS if k in opts},
+    )
     if algorithm is None or algorithm == "auto":
-        res = resolve_execution(config, backend=backend, device=device,
-                                autotune=autotune)
         if algorithm == "auto" or res.autotune:
             # Model-driven selection: the planner picks the kernel and
             # opts with the lowest modeled time; explicit caller opts
@@ -206,12 +218,7 @@ def sat(
             opts = {**decision.opts_dict(), **opts}
         else:
             algorithm = DEFAULT_ALGORITHM
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; available: {sorted(ALGORITHMS)}"
-        ) from None
+    fn = ALGORITHMS[algorithm]
     scope = (
         tracing(resolve_tracer(trace), enabled=trace is not False)
         if trace is not None else nullcontext()
@@ -224,21 +231,16 @@ def sat(
                 # carry pass (see repro.shard / docs/sharding.md).
                 run = get_sharder().run(
                     image, pair=tp, algorithm=algorithm, device=device,
-                    backend=backend, config=config, shard=shard, **opts,
+                    backend=backend, config=res, shard=shard, **opts,
                 )
             else:
-                # Spec'd algorithms resolve the full execution config
-                # themselves (kwargs > config > contexts > env) and
-                # dispatch to the backend.
-                run = fn(image, pair=tp, device=device, backend=backend,
-                         config=config, **opts)
+                run = fn(image, pair=tp, config=res, **opts)
         else:
             if shard not in (None, False):
                 raise ValueError(
                     f"algorithm {algorithm!r} has no kernel spec and cannot "
                     f"run sharded"
                 )
-            res = resolve_execution(config, backend=backend, device=device)
             # Spec-less algorithms run their own (CPU) path: an explicitly
             # requested backend is an error, a floating one (env/profile/
             # context preference) is quietly ignored.

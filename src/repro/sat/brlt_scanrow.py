@@ -27,7 +27,7 @@ from typing import List
 import numpy as np
 
 from ..dtypes import parse_pair
-from ..exec.config import resolve_execution
+from ..exec.config import resolve_execution, resolved_execution
 from ..exec.registry import KernelSpec, PassSpec, get_backend, register_kernel_spec
 from ..gpusim.global_mem import GlobalArray
 from ..obs.trace import current_tracer, kernel_phase
@@ -211,9 +211,9 @@ def sat_brlt_scanrow(image: np.ndarray, pair="32f32f", device=None, brlt_stride:
                      backend: str = None, config=None, **_opts) -> SatRun:
     """Full SAT via two BRLT-ScanRow passes (Sec. IV-B)."""
     tp = parse_pair(pair)
-    res = resolve_execution(config, fused=fused, sanitize=sanitize,
-                            bounds_check=bounds_check, backend=backend,
-                            device=device)
+    res = resolved_execution(config, fused=fused, sanitize=sanitize,
+                             bounds_check=bounds_check, backend=backend,
+                             device=device)
     return get_backend(res.backend).run(
         SPEC, image, tp=tp, device=res.device,
         opts={"brlt_stride": brlt_stride, "brlt_barrier": brlt_barrier},

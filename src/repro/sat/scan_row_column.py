@@ -26,7 +26,7 @@ from typing import List
 import numpy as np
 
 from ..dtypes import parse_pair
-from ..exec.config import resolve_execution
+from ..exec.config import resolve_execution, resolved_execution
 from ..exec.registry import KernelSpec, PassSpec, get_backend, register_kernel_spec
 from ..gpusim.global_mem import GlobalArray
 from ..obs.trace import current_tracer, kernel_phase
@@ -278,9 +278,9 @@ def sat_scan_row_column(image: np.ndarray, pair="32f32f", device=None,
                         backend: str = None, config=None, **_opts) -> SatRun:
     """Full SAT via ScanRow then ScanColumn (Sec. IV-C, Fig. 5)."""
     tp = parse_pair(pair)
-    res = resolve_execution(config, fused=fused, sanitize=sanitize,
-                            bounds_check=bounds_check, backend=backend,
-                            device=device)
+    res = resolved_execution(config, fused=fused, sanitize=sanitize,
+                             bounds_check=bounds_check, backend=backend,
+                             device=device)
     return get_backend(res.backend).run(
         SPEC, image, tp=tp, device=res.device, opts={"scan": scan},
         fused=res.fused, sanitize=res.sanitize, bounds_check=res.bounds_check,

@@ -30,7 +30,7 @@ from typing import List
 import numpy as np
 
 from ..dtypes import parse_pair
-from ..exec.config import resolve_execution
+from ..exec.config import resolve_execution, resolved_execution
 from ..exec.registry import KernelSpec, PassSpec, get_backend, register_kernel_spec
 from ..gpusim.global_mem import GlobalArray
 from ..gpusim.regfile import RegBank
@@ -203,9 +203,9 @@ def sat_scanrow_brlt(image: np.ndarray, pair="32f32f", device=None,
                      backend: str = None, config=None, **_opts) -> SatRun:
     """Full SAT via two ScanRow-BRLT passes (Sec. IV-A)."""
     tp = parse_pair(pair)
-    res = resolve_execution(config, fused=fused, sanitize=sanitize,
-                            bounds_check=bounds_check, backend=backend,
-                            device=device)
+    res = resolved_execution(config, fused=fused, sanitize=sanitize,
+                             bounds_check=bounds_check, backend=backend,
+                             device=device)
     return get_backend(res.backend).run(
         SPEC, image, tp=tp, device=res.device, opts={"scan": scan},
         fused=res.fused, sanitize=res.sanitize, bounds_check=res.bounds_check,

@@ -603,20 +603,44 @@ def sharded_sat_series(
 class TiledSharder:
     """The registry hook :func:`repro.sat.api.sat` consults.
 
-    ``wants`` decides transparent sharding; ``run`` executes it.  The
-    object is stateless — configuration comes from the ``shard=`` value
-    and the environment on every call.
+    ``wants`` decides transparent sharding; ``run`` executes it.
+    Configuration comes from the ``shard=`` value and the environment on
+    every call; the only state is a memo of the derived threshold.
     """
 
     name = "tiled"
+
+    def __init__(self) -> None:
+        #: ``(raw env strings, threshold)`` of the last derived threshold.
+        self._derived: Tuple[tuple, int] = ((), 0)
+
+    def threshold_elems(self) -> int:
+        """``ShardConfig.from_env().threshold_elems``, without building
+        the config on every call.
+
+        The environment is read on every call: ``REPRO_SHARD_THRESHOLD``
+        pins the threshold directly; otherwise it is derived from the
+        device set, streams and tile shape, and memoised on the raw
+        strings of those three variables, so changing any of them takes
+        effect on the next call.
+        """
+        env = os.environ
+        pinned = env.get(THRESHOLD_ENV)
+        if pinned is not None:
+            return int(pinned)
+        key = (env.get(DEVICES_ENV), env.get(STREAMS_ENV), env.get(TILE_ENV))
+        memo_key, threshold = self._derived
+        if memo_key != key:
+            threshold = ShardConfig.from_env().threshold_elems
+            self._derived = (key, threshold)
+        return threshold
 
     def wants(self, shape: Tuple[int, int], shard=None) -> bool:
         if shard is False:
             return False
         if shard is not None:
             return True
-        threshold = ShardConfig.from_env().threshold_elems
-        return int(shape[0]) * int(shape[1]) > threshold
+        return int(shape[0]) * int(shape[1]) > self.threshold_elems()
 
     def run(self, image, **kwargs) -> ShardRun:
         return sharded_sat(image, **kwargs)

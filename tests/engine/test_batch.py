@@ -10,6 +10,8 @@ import pytest
 
 from repro import sat, sat_batch
 from repro.engine import BATCH_SPECS, Engine
+from repro.obs import get_metrics, reset_metrics
+from repro.obs.context import recording_timeline
 from repro.sat.naive import exclusive_from_inclusive, sat_reference
 
 PAPER_ALGS = sorted(BATCH_SPECS)
@@ -93,10 +95,47 @@ class TestSanitizedBatch:
         monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "1")
         imgs = make_images([(64, 64)] * 3)
         run = sat_batch(imgs, pair="8u32s", engine=Engine())
-        assert run.plan_hits == 0 and run.plan_misses == 3
+        # No plan is looked up: the images are unplanned, not misses.
+        assert run.plan_hits == 0 and run.plan_misses == 0
+        assert run.unplanned == 3
         for im, r in zip(imgs, run.runs):
             np.testing.assert_array_equal(r.output, sat_reference(im, "8u32s"))
             assert all(s.timing.sanitizer is not None for s in r.launches)
+
+
+class TestUnplannedAccounting:
+    """Images that never look up a launch plan (host backend, baselines,
+    sanitized runs) are counted as unplanned, not as plan misses."""
+
+    def test_warm_host_batches_are_unplanned(self):
+        reset_metrics()
+        eng = Engine()
+        imgs = make_images([(64, 64)] * 3)
+        for _ in range(2):
+            run = sat_batch(imgs, pair="8u32s", backend="host", engine=eng)
+            assert (run.plan_hits, run.plan_misses, run.unplanned) == (0, 0, 3)
+            assert run.plan_hit_rate == 0.0
+        assert (eng.cache.hits, eng.cache.misses) == (0, 0)
+        m = get_metrics()
+        assert m.value("engine.unplanned") == 6.0
+        assert m.value("engine.plan_misses") == 0.0
+
+    def test_baseline_images_are_unplanned(self):
+        run = sat_batch(make_images([(48, 48)] * 2), pair="8u32s",
+                        algorithm="cpu_numpy", engine=Engine())
+        assert (run.plan_misses, run.unplanned) == (0, 2)
+
+    def test_timeline_annotation(self):
+        with recording_timeline() as acc:
+            sat_batch(make_images([(64, 64)] * 2), pair="8u32s",
+                      backend="host", engine=Engine())
+        assert acc["unplanned"] == 2.0
+        assert acc["plan_misses"] == 0.0 and acc["plan_hits"] == 0.0
+
+    def test_planned_batches_report_no_unplanned(self):
+        run = sat_batch(make_images([(64, 64)] * 3), pair="8u32s",
+                        engine=Engine())
+        assert (run.plan_misses, run.plan_hits, run.unplanned) == (1, 2, 0)
 
 
 class TestInputForms:

@@ -16,7 +16,7 @@ from ..helpers import make_image
 STABLE_KEYS = {
     "algorithm", "device", "pair", "n_images", "wall_s",
     "modeled_batched_s", "modeled_sequential_s",
-    "plan_hits", "plan_misses", "plan_hit_rate",
+    "plan_hits", "plan_misses", "unplanned", "plan_hit_rate",
     "images_per_s_modeled", "wall_images_per_s",
     "effective_gbps", "speedup_vs_sequential",
     "buckets", "sector_bytes",
@@ -62,6 +62,7 @@ def test_json_round_trip_preserves_metrics(batch_run):
     assert back.device == batch_run.device
     assert back.plan_hits == batch_run.plan_hits
     assert back.plan_misses == batch_run.plan_misses
+    assert back.unplanned == batch_run.unplanned
     assert back.plan_hit_rate == pytest.approx(batch_run.plan_hit_rate)
     assert back.modeled_batched_s == pytest.approx(batch_run.modeled_batched_s)
     assert back.speedup_vs_sequential == pytest.approx(

@@ -132,6 +132,7 @@ class TestStackIntegration:
         assert m.value("engine.images", algorithm="brlt_scanrow") == 6.0
         assert m.value("engine.plan_hits") == float(run.plan_hits)
         assert m.value("engine.plan_misses") == float(run.plan_misses)
+        assert m.value("engine.unplanned") == float(run.unplanned)
         assert m.counter_total("gpusim.replays") > 0
 
     def test_tape_lifecycle_counters(self):

@@ -199,6 +199,20 @@ class TestTimelines:
             assert r.timeline.annotations["modeled_kernel_us"] > 0.0
 
 
+    def test_warm_host_requests_are_unplanned(self):
+        """A host-backend request never looks up a launch plan: its
+        timeline counts it as unplanned, never as a plan miss."""
+        img = RNG.integers(0, 255, size=(64, 64), dtype=np.uint8)
+        with SatService(workers=1, max_delay_s=0.0) as svc:
+            for _ in range(2):  # the second request is warm
+                r = svc.request(SatRequest(img, config={"backend": "host"}),
+                                timeout=60)
+                ann = r.timeline.annotations
+                assert ann["unplanned"] == 1.0
+                assert ann.get("plan_misses", 0.0) == 0.0
+                assert ann.get("plan_hits", 0.0) == 0.0
+
+
 class TestQuantileAgreement:
     def test_stats_quantiles_match_responses_within_one_bucket(self):
         reset_metrics()
