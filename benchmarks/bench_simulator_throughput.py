@@ -5,9 +5,9 @@ size — the quantity that bounds how fast the Fig. 6/7 sweeps regenerate.
 pytest-benchmark's statistics apply directly here.
 
 Each run also appends a row to ``BENCH_simulator.json`` at the repo root
-(fused fast path vs the legacy per-register path, plus the speedup), so
-the simulator's own performance history survives across commits and the
-CI smoke run can track regressions.
+(best-of-3 wall seconds under ``fused_s``, the key the older rows and
+:mod:`repro.obs.regress` use), so the simulator's own performance history
+survives across commits and the CI smoke run can track regressions.
 """
 
 import json
@@ -51,17 +51,14 @@ def test_simulate_512_brlt_scanrow(benchmark):
     np.testing.assert_allclose(run.output, sat_reference(img, "32f32f"),
                                rtol=1e-4, atol=1e-2)
 
-    fused_s = _best_of(lambda: sat_brlt_scanrow(img, pair="32f32f", fused=True))
-    legacy_s = _best_of(lambda: sat_brlt_scanrow(img, pair="32f32f", fused=False))
+    wall_s = _best_of(lambda: sat_brlt_scanrow(img, pair="32f32f"))
     _append_bench_entry({
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "test": "test_simulate_512_brlt_scanrow",
         "size": [512, 512],
         "pair": "32f32f",
         "device": "P100",
-        "fused_s": round(fused_s, 6),
-        "legacy_s": round(legacy_s, 6),
-        "speedup_fused_vs_legacy": round(legacy_s / fused_s, 3),
+        "fused_s": round(wall_s, 6),
     })
 
 

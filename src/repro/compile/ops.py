@@ -197,7 +197,7 @@ def han_carlson_lowered(x: np.ndarray) -> np.ndarray:
 
 def serial_chunk_scan(x: np.ndarray) -> np.ndarray:
     """Alg. 2 in place on a ``(..., 32)`` chunk: ``np.add.accumulate`` is
-    defined sequentially, bit-identical to the interpreter's fused
+    defined sequentially, bit-identical to the interpreter's
     register-bank scan.  The dtype is pinned — accumulate would otherwise
     widen sub-platform ints."""
     return np.add.accumulate(x, axis=-1, dtype=x.dtype, out=x)

@@ -1,8 +1,8 @@
 """repro.exec — execution configuration, kernel specs and backends.
 
 The package's execution layer: :class:`ExecutionConfig` is the single
-resolution path for every mode knob (fused path, sanitizer, bounds
-checking, backend, device), and the kernel/backend registry maps each SAT
+resolution path for every mode knob (sanitizer, bounds checking,
+backend, device, autotune), and the kernel/backend registry maps each SAT
 algorithm's one :class:`KernelSpec` onto interchangeable executors
 (``gpusim``, ``host``).  See ``docs/architecture.md``.
 

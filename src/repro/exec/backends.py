@@ -123,16 +123,12 @@ class GpusimBackend:
         tp: TypePair,
         device,
         opts: Optional[Mapping] = None,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
         dev = get_device(device)
         orig = image.shape
         padded = pad_matrix(image.astype(tp.input.np_dtype, copy=False), *spec.pad)
-        pass_opts = dict(opts or {})
-        if fused is not None:
-            pass_opts["fused"] = fused
         tracer = current_tracer()
         with (tracer.span(f"sat:{spec.algorithm}", category="sat",
                           algorithm=spec.algorithm, backend=self.name,
@@ -142,7 +138,7 @@ class GpusimBackend:
             launches = []
             for p in spec.passes:
                 cur, stats = launch_pass(
-                    p, cur, acc=tp.output, device=dev, opts=pass_opts,
+                    p, cur, acc=tp.output, device=dev, opts=opts,
                     sanitize=sanitize, bounds_check=bounds_check,
                 )
                 launches.append(stats)
@@ -181,7 +177,6 @@ class HostBackend:
         tp: TypePair,
         device="host",
         opts: Optional[Mapping] = None,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
@@ -278,22 +273,18 @@ class CompiledBackend:
         tp: TypePair,
         device,
         opts: Optional[Mapping] = None,
-        fused: Optional[bool] = None,
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
-        if fused is None or sanitize is None or bounds_check is None:
-            res = resolve_execution(fused=fused, sanitize=sanitize,
+        if sanitize is None or bounds_check is None:
+            res = resolve_execution(sanitize=sanitize,
                                     bounds_check=bounds_check)
-            fused, sanitize, bounds_check = (
-                res.fused, res.sanitize, res.bounds_check
-            )
+            sanitize, bounds_check = res.sanitize, res.bounds_check
         gpusim = _GPUSIM
         if sanitize or bounds_check:
             # Trusted slow modes stay fully interpreted and instrumented.
             return gpusim.run(spec, image, tp=tp, device=device, opts=opts,
-                              fused=fused, sanitize=sanitize,
-                              bounds_check=bounds_check)
+                              sanitize=sanitize, bounds_check=bounds_check)
         from ..engine.batch import default_engine
         from ..engine.plan import PlanKey
 
@@ -304,14 +295,14 @@ class CompiledBackend:
         cache = default_engine().cache
         key = PlanKey.make(
             spec.algorithm, dev.name, tp.name, bucket,
-            dict(pass_opts, fused=fused, bounds_check=bounds_check),
+            dict(pass_opts, bounds_check=bounds_check),
             backend=self.name,
         )
         # Warm calls find their plan; only a new bucket builds the spec.
         plan = cache.get(key)
         if plan is None:
             plan = cache.get_or_create(
-                key, spec.batch_spec(tp, dev, fused=fused, **pass_opts)
+                key, spec.batch_spec(tp, dev, **pass_opts)
             )
         m = get_metrics()
         tracer = current_tracer()
@@ -319,10 +310,10 @@ class CompiledBackend:
         if not plan.recorded:
             cache.note_miss()
             run0 = gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              fused=fused, sanitize=False, bounds_check=False)
+                              sanitize=False, bounds_check=False)
             for lp, s in zip(plan.launch_plans, run0.launches):
                 lp.record(replace(s, counters=s.counters.copy()))
-            ensure_compiled(plan, spec, tp, dict(pass_opts, fused=fused))
+            ensure_compiled(plan, spec, tp, pass_opts)
             # The cold run *is* the recorded template; report it under
             # this backend so callers see one consistent executor.
             run0.backend = self.name
@@ -332,9 +323,9 @@ class CompiledBackend:
 
         cache.note_hit()
         if plan.compiled is None and not ensure_compiled(
-                plan, spec, tp, dict(pass_opts, fused=fused)):
+                plan, spec, tp, pass_opts):
             return gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              fused=fused, sanitize=False, bounds_check=False)
+                              sanitize=False, bounds_check=False)
         try:
             with (tracer.span(f"sat:{spec.algorithm}", category="sat",
                               algorithm=spec.algorithm, backend=self.name,
@@ -353,7 +344,7 @@ class CompiledBackend:
                              level="warning", algorithm=spec.algorithm,
                              reason=str(e))
             return gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              fused=fused, sanitize=False, bounds_check=False)
+                              sanitize=False, bounds_check=False)
         run = SatRun(
             output=np.ascontiguousarray(crop(out3[0], orig)),
             launches=[lp.clone_stats() for lp in plan.launch_plans],

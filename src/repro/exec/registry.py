@@ -53,8 +53,7 @@ class PassSpec:
     ``geometry(h, w, acc, device)`` returns the ``(grid, block)`` launch
     dims for a padded ``h x w`` input with accumulator dtype ``acc``;
     ``extra_args(opts)`` builds the trailing kernel arguments after
-    ``(src, dst)`` from the algorithm options (including the resolved
-    ``fused`` mode); ``host(arr)`` is the pass's mathematical semantics on
+    ``(src, dst)`` from the algorithm options; ``host(arr)`` is the pass's mathematical semantics on
     a host array (already in the accumulator dtype), used by the ``host``
     backend and by nothing else; ``lower(stats, tp, opts)`` (optional)
     returns the pass's closed-form NumPy program for the ``compiled``

@@ -41,10 +41,11 @@ attached to the launch's :class:`~repro.gpusim.cost.model.KernelTiming`.
 
 The checks are *observers*: they never touch :class:`CostCounters` or the
 dependency chain, so sanitized runs produce bit-identical counters and
-timings — and they operate on the same broadcast offset arrays both the
-legacy per-register path and the fused :class:`RegBank` path present
-(fused tile accesses validate their whole access set in one call), so the
-two paths check, and report, exactly the same element accesses.
+timings — and they operate on the same broadcast offset arrays that
+per-register :class:`RegArray` accesses and register-bank :class:`RegBank`
+tile accesses present (a tile access validates its whole access set in
+one call), so both access granularities check, and report, exactly the
+same element accesses.
 """
 
 from __future__ import annotations
@@ -145,9 +146,11 @@ class BankConflictError(SanitizerError):
 class SanitizerReport:
     """What one sanitized kernel execution checked (attached to timing).
 
-    All counts are element-granular so the legacy per-register and fused
-    register-bank paths — which issue different numbers of *instructions*
-    for the same work — report identical numbers.
+    All counts are element-granular: a kernel reports the same numbers
+    whether it moves its data as per-register instructions or as
+    register-bank tiles, which issue different numbers of *instructions*
+    for the same work.  ``tests/golden/sanitizer_reports_128x160.json``
+    pins the reports of the three SAT kernels.
     """
 
     kernel: str

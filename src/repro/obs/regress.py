@@ -61,7 +61,7 @@ AUTOTUNE_METRICS: Dict[str, str] = {
 }
 #: Metrics measured in host wall time (noisy; excluded from strict checks
 #: unless --include-wall).
-WALL_METRICS = {"fused_s", "legacy_s", "wall_s", "p95_ms", "p99_ms"}
+WALL_METRICS = {"fused_s", "wall_s", "p95_ms", "p99_ms"}
 
 
 @dataclass
@@ -165,8 +165,7 @@ def fresh_batch_metrics(entry: Mapping[str, Any], n_images: Optional[int] = None
     # Pin the default execution mode: BENCH histories are recorded with
     # batching on, and e.g. the sanitized CI profile would otherwise fall
     # back to per-image execution and "regress" every plan metric.
-    with execution(ExecutionConfig(fused=True, sanitize=False,
-                                   bounds_check=False)):
+    with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
         run = Engine().run_batch(
             imgs, pair=pair, algorithm=entry.get("algorithm", "brlt_scanrow"),
             device=entry.get("device", "P100"),
@@ -217,10 +216,10 @@ def fresh_simulator_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
     tp = parse_pair(pair)
     img = random_matrix((int(size[0]), int(size[1])), tp.input, seed=0)
     best = float("inf")
-    # The metric is named fused_s: pin the fused path whatever the ambient
-    # profile (legacy/sanitized CI legs would otherwise time the wrong mode).
-    with execution(ExecutionConfig(fused=True, sanitize=False,
-                                   bounds_check=False)):
+    # Pin the unsanitized mode whatever the ambient profile (the sanitized
+    # CI leg would otherwise time the wrong mode).  The metric keeps its
+    # historical name, fused_s, so old BENCH_simulator rows still compare.
+    with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
         for _ in range(3):
             t0 = time.perf_counter()
             sat(img, pair=pair, algorithm="brlt_scanrow",
@@ -248,8 +247,7 @@ def fresh_serve_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
     img = rng.integers(0, 256, (int(size[0]), int(size[1]))).astype(np.uint8)
     workers = int(entry.get("workers", 4))
     delay_s = float(entry.get("max_delay_ms", 5.0)) / 1e3
-    with execution(ExecutionConfig(fused=True, sanitize=False,
-                                   bounds_check=False)):
+    with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
         with SatService(workers=workers, max_delay_s=delay_s) as svc:
             svc.sat(img)    # warm the bucket's plan
             rep = run_closed_loop(svc, [img], clients=8,
@@ -279,8 +277,7 @@ def fresh_shard_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
     rng = np.random.default_rng(0)
     img = rng.integers(0, 255, size=(int(size[0]), int(size[1])))
     img = img.astype(np.uint8)
-    with execution(ExecutionConfig(fused=True, sanitize=False,
-                                   bounds_check=False)):
+    with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
         run = sharded_sat(
             img, pair=entry.get("pair", "8u32s"),
             algorithm=entry.get("algorithm", "brlt_scanrow"),
@@ -312,8 +309,7 @@ def fresh_autotune_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
     planner = Planner(calibration=calibration)
     runner = Runner(calibration=max(sizes), validate=False)
     matches, cells = 0, 0
-    with execution(ExecutionConfig(fused=True, sanitize=False,
-                                   bounds_check=False)):
+    with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
         for device in devices:
             for pair in pairs:
                 for size in sizes:

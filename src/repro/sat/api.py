@@ -63,7 +63,7 @@ ALGORITHMS: Dict[str, Callable[..., SatRun]] = {**PAPER_ALGORITHMS, **BASELINE_A
 
 #: Execution knobs ``sat()`` accepts among its ``**opts``; they resolve
 #: with the rest of the config instead of reaching the algorithm.
-_MODE_OPTS = ("fused", "sanitize", "bounds_check")
+_MODE_OPTS = ("sanitize", "bounds_check")
 
 # Imported after the kernel modules above so their spec registration has
 # happened; repro.plan pulls in repro.engine, whose BATCH_SPECS snapshot
@@ -177,8 +177,8 @@ def sat(
     **opts:
         Algorithm-specific options, e.g. ``scan="ladner_fischer"`` for the
         parallel-warp-scan kernels, or ``brlt_stride=32`` for the
-        bank-conflict ablation; plus the execution knobs ``fused=``,
-        ``sanitize=`` and ``bounds_check=``.  With ``algorithm="auto"``,
+        bank-conflict ablation; plus the execution knobs ``sanitize=``
+        and ``bounds_check=``.  With ``algorithm="auto"``,
         explicit opts win over the planner's chosen opts.
 
     Returns

@@ -32,9 +32,9 @@ WARP_SCANS: Dict[str, Callable] = {
     "han_carlson": han_carlson_scan,
 }
 
-#: Fused register-bank variants (one dispatch scans all 32 registers).
-#: Scans without a bank variant fall back to a per-register loop in the
-#: fused kernels — counters are identical either way.
+#: Register-bank variants (one dispatch scans all 32 registers).  Scans
+#: without a bank variant fall back to a per-register loop in the SAT
+#: kernels — counters are identical either way.
 WARP_SCANS_BANK: Dict[str, Callable] = {
     "kogge_stone": kogge_stone_scan_bank,
 }

@@ -10,7 +10,7 @@ dimension the batched launch geometry depends on:
   the algorithm's pad multiples — two raw shapes that pad identically
   share every counter, so they share a launch),
 * the fully **resolved** :class:`~repro.exec.ExecutionConfig`
-  (:meth:`~repro.exec.ExecutionConfig.compat_key`): fused/sanitize/
+  (:meth:`~repro.exec.ExecutionConfig.compat_key`): sanitize/
   bounds-check/backend/device, resolved on the *submitting* thread so
   ambient ``execution()`` contexts and env profiles are honoured,
 * canonicalised algorithm options (``scan=``, ``brlt_stride=``...).

@@ -32,23 +32,22 @@ _BITS = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 DENSITIES = (0.0, 0.05, 0.3, 1.0)
 
 
-def _specials(dtype, nan: bool) -> np.ndarray:
+def _specials(dtype) -> np.ndarray:
     fi = np.finfo(dtype)
     sub = fi.smallest_subnormal
     vals = [-0.0, 0.0, sub, -sub, fi.tiny / 2, -fi.tiny / 2, np.inf, -np.inf,
             fi.max, -fi.max, 1.0, -1.0]
-    return np.array(vals + ([np.nan, -np.nan] if nan else []), dtype=dtype)
+    return np.array(vals + [np.nan, -np.nan], dtype=dtype)
 
 
-def adversarial(seed: int, shape, dtype, density: float,
-                nan: bool = True) -> np.ndarray:
+def adversarial(seed: int, shape, dtype, density: float) -> np.ndarray:
     """Mixed magnitudes (2^-40..2^40, both signs) with a ``density``
-    share of ``-0.0``, subnormals, ±inf, ±max and (``nan``) ±NaN."""
+    share of ``-0.0``, subnormals, ±inf, ±max and ±NaN."""
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal(shape)
          * 2.0 ** rng.integers(-40, 41, shape)).astype(dtype)
     mask = rng.random(shape) < density
-    x[mask] = rng.choice(_specials(dtype, nan), int(mask.sum()))
+    x[mask] = rng.choice(_specials(dtype), int(mask.sum()))
     return x
 
 
@@ -118,31 +117,17 @@ def _pass_id(case):
 
 @pytest.mark.parametrize("case", PASSES, ids=[_pass_id(c) for c in PASSES])
 @given(height=st.sampled_from([32, 64]),
-       width=st.sampled_from([32, 96, 544, 1056]),
-       fused=st.booleans(), **chunks)
-@example(height=32, width=1056, fused=True, seed=2, pair="32f32f",
-         density=0.05)
-@example(height=32, width=544, fused=True, seed=3, pair="64f64f",
-         density=0.3)
-def test_pass_body_bit_identical(case, height, width, fused, seed, pair,
-                                 density):
+       width=st.sampled_from([32, 96, 544, 1056]), **chunks)
+@example(height=32, width=1056, seed=2, pair="32f32f", density=0.05)
+@example(height=32, width=544, seed=3, pair="64f64f", density=0.3)
+def test_pass_body_bit_identical(case, height, width, seed, pair, density):
     """One lowered pass (strip carries included: 544 and 1056 columns span
     two strips of the double and float launches) against the same pass on
-    the interpreter.
-
-    The legacy (``fused=False``) serial scan adds ``r[i] + r[i-1]`` where
-    the fused one accumulates ``r[i-1] + r[i]``: equal values, but where
-    both operands are NaN the two interpreter paths keep different
-    payloads.  The lowered programs follow the fused path, so legacy runs
-    are compared on NaN-free inputs (``inf - inf`` still makes NaNs, all
-    with one payload).
-    """
+    the interpreter, ±NaN payloads included."""
     spec, i, opts = case
     p = spec.passes[i]
     tp = parse_pair(pair)
-    x = adversarial(seed, (height, width), tp.output.np_dtype, density,
-                    nan=fused)
-    opts = dict(opts, fused=fused)
+    x = adversarial(seed, (height, width), tp.output.np_dtype, density)
     dst, stats = launch_pass(p, GlobalArray(x.copy(), "in"), acc=tp.output,
                              device=P100, opts=opts, sanitize=False,
                              bounds_check=False)
@@ -211,9 +196,8 @@ def test_pass_body_writes_only_its_stack(algo, pair, pass_index, layout):
     tp = parse_pair(pair)
     _, stats = launch_pass(
         p, GlobalArray(np.ones((64, 96), tp.input.np_dtype), "in"),
-        acc=tp.output, device=P100, opts={"fused": True}, sanitize=False,
-        bounds_check=False)
-    low = p.lower(stats, tp, {"fused": True})
+        acc=tp.output, device=P100, sanitize=False, bounds_check=False)
+    low = p.lower(stats, tp, {})
     dtype = tp.output.np_dtype
     for body in (b for b in (low.rows, low.cols) if b is not None):
         if layout == "contiguous":  # the middle image of three

@@ -35,8 +35,7 @@ PAIR = "8u32s"
 #: or the CI profile matrix.  A bare all-None config would NOT pin: unset
 #: fields fall through to the environment layers.
 PINNED_DEFAULT = ExecutionConfig(
-    fused=True, sanitize=False, bounds_check=False,
-    backend="gpusim", device="P100",
+    sanitize=False, bounds_check=False, backend="gpusim", device="P100",
 )
 
 
@@ -72,7 +71,7 @@ def test_tracing_is_bit_identical_under_every_profile(profile):
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_golden_cost_trace_unchanged_by_tracing(profile):
     """The PR-4 golden cost snapshots still match with tracing enabled."""
-    from ..test_golden_traces import GOLDEN_DIR as COST_GOLDEN, PAIR as CPAIR
+    from ..test_golden_traces import GOLDEN_DIR as COST_GOLDEN
     from ..test_golden_traces import current_trace
 
     path = COST_GOLDEN / f"brlt_scanrow_128x128.json"

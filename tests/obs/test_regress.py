@@ -86,8 +86,7 @@ class TestBenchFiles:
                 for _ in range(4)]
         # Same pinned mode as fresh_batch_metrics, so the comparison holds
         # under every ambient CI profile.
-        with execution(ExecutionConfig(fused=True, sanitize=False,
-                                       bounds_check=False)):
+        with execution(ExecutionConfig(sanitize=False, bounds_check=False)):
             run = Engine().run_batch(imgs, pair="8u32s",
                                      algorithm="brlt_scanrow", device="P100")
         entry = {"size": [64, 64], "pair": "8u32s",

@@ -185,7 +185,7 @@ def test_resolved_execution_skips_only_full_configs(monkeypatch):
     # A full per-call config outranks the environment in every field.
     assert resolved_execution(full) is full
     assert resolved_execution(full, backend="compiled").backend == "compiled"
-    partial = ExecutionConfig(fused=False)
+    partial = ExecutionConfig(sanitize=False)
     assert resolved_execution(partial) == resolve_execution(partial)
     assert resolved_execution(partial).backend == "host"
     assert resolved_execution().backend == "host"

@@ -248,10 +248,11 @@ class TestLifecycle:
         """Requests pinning different execution modes must not share a
         launch, even at the same shape."""
         img = _mixed_images()[0]
-        f_true = svc.submit(SatRequest(img, config={"fused": True}))
-        f_false = svc.submit(SatRequest(img, config={"fused": False}))
+        f_true = svc.submit(SatRequest(img, config={"bounds_check": True}))
+        f_false = svc.submit(SatRequest(img, config={"bounds_check": False}))
         r_true = f_true.result(timeout=60)
         r_false = f_false.result(timeout=60)
-        # Identical data (fused is bit-exact) but separate batches.
+        # Identical data (bounds checking only observes) but separate
+        # batches.
         assert np.array_equal(r_true.result, r_false.result)
         assert r_true.batch_size == 1 and r_false.batch_size == 1
