@@ -11,6 +11,8 @@ Run directly::
     python benchmarks/bench_batch.py            # full measurement
     python benchmarks/bench_batch.py --smoke    # CI smoke: fast, asserts
                                                 # plan-cache hit rate >= 0.9
+    python benchmarks/bench_batch.py --smoke --backend compiled \
+        --pair 32f32f --algorithm scan_row_column  # float compiled batch
 
 The full run appends a row to ``BENCH_batch.json`` at the repo root so the
 engine's performance history survives across commits.
@@ -47,7 +49,9 @@ def _append_bench_entry(entry: dict) -> None:
 
 def _check_identical(batch_runs, solo_runs) -> None:
     for rb, rs in zip(batch_runs, solo_runs):
-        assert np.array_equal(rb.output, rs.output), "batch output drifted"
+        assert (rb.output.shape == rs.output.shape
+                and rb.output.tobytes() == rs.output.tobytes()), (
+            "batch output drifted")
         for sb, ss in zip(rb.launches, rs.launches):
             assert sb.counters.as_dict() == ss.counters.as_dict(), (
                 f"batch counters drifted in {sb.name}")
@@ -55,17 +59,30 @@ def _check_identical(batch_runs, solo_runs) -> None:
                 ss.timing), f"batch timing drifted in {sb.name}"
 
 
-def run_smoke(algorithm: str, device: str, backend: str = "gpusim") -> int:
+def _images(n: int, size: int, pair: str) -> list:
+    """``n`` seeded ``size``² images in ``pair``'s input dtype: 8-bit
+    values for integer pairs, standard-normal floats for float pairs."""
+    from repro.dtypes import parse_pair
+
+    dtype = parse_pair(pair).input.np_dtype
+    rng = np.random.default_rng(0)
+    if np.issubdtype(dtype, np.floating):
+        return [rng.standard_normal((size, size)).astype(dtype)
+                for _ in range(n)]
+    return [rng.integers(0, 256, (size, size)).astype(np.uint8)
+            for _ in range(n)]
+
+
+def run_smoke(algorithm: str, device: str, backend: str = "gpusim",
+              pair: str = "8u32s") -> int:
     from repro import sat
     from repro.engine import Engine
 
-    rng = np.random.default_rng(0)
-    imgs = [rng.integers(0, 256, (128, 128)).astype(np.uint8)
-            for _ in range(32)]
+    imgs = _images(32, 128, pair)
     eng = Engine()
-    run = eng.run_batch(imgs, pair="8u32s", algorithm=algorithm, device=device,
+    run = eng.run_batch(imgs, pair=pair, algorithm=algorithm, device=device,
                         backend=backend)
-    solo = [sat(im, pair="8u32s", algorithm=algorithm, device=device)
+    solo = [sat(im, pair=pair, algorithm=algorithm, device=device)
             for im in imgs[:4]]
     _check_identical(run.runs[:4], solo)
     print(f"smoke: {run.summary()}")
@@ -84,9 +101,7 @@ def run_full(n_images: int, size: int, algorithm: str, pair: str,
     from repro import sat
     from repro.engine import Engine
 
-    rng = np.random.default_rng(0)
-    imgs = [rng.integers(0, 256, (size, size)).astype(np.uint8)
-            for _ in range(n_images)]
+    imgs = _images(n_images, size, pair)
 
     t0 = time.perf_counter()
     solo = [sat(im, pair=pair, algorithm=algorithm, device=device)
@@ -170,7 +185,8 @@ def main(argv=None) -> int:
                     help="execution backend for the batched engine runs")
     args = ap.parse_args(argv)
     if args.smoke:
-        return run_smoke(args.algorithm, args.device, args.backend)
+        return run_smoke(args.algorithm, args.device, args.backend,
+                         args.pair)
     return run_full(args.n_images, args.size, args.algorithm, args.pair,
                     args.device, args.backend)
 

@@ -6,13 +6,13 @@ plan cache and address tapes of :mod:`repro.engine` / :mod:`repro.gpusim.
 replay` already rely on).  This package pushes that one step further —
 instead of *replaying* a recorded launch through the interpreter, it
 *lowers* the launch plan into a :class:`~repro.compile.lower.CompiledPlan`:
-a closed-form sequence of whole-grid NumPy gather/cumsum/scatter
-operations per kernel pass, bit-identical to the interpreted execution
-(including float summation order) but with zero interpreter steps.
+a closed-form sequence of whole-grid NumPy scan operations per kernel
+pass, bit-identical to the interpreted execution (including float
+summation order) but with zero interpreter steps.
 
 :mod:`repro.compile.ops` holds the lowered building blocks (warp-scan
-emulators, the strip-offset/carry programs, the affine-lattice scatter);
-:mod:`repro.compile.lower` assembles them into compiled plans from a
+emulators and the strip-offset/carry programs, each serving both memory
+orientations); :mod:`repro.compile.lower` assembles them into compiled plans from a
 :class:`~repro.exec.registry.KernelSpec` plus the recorded per-pass
 :class:`~repro.gpusim.launch.LaunchStats`.  The ``compiled`` execution
 backend (:mod:`repro.exec.backends`) and the batch engine consume them.

@@ -22,22 +22,22 @@ Two optimisation rules beyond straight-line lowering, both bit-exact:
 * **Layout propagation.**  A pass that ends in a per-image transposed
   store never materialises it; :meth:`CompiledPlan.run` carries the
   pending transpose as a flag and asks the *next* pass to scan the other
-  physical axis instead.  A transpose is only materialised (via
-  :func:`~repro.compile.ops.transpose_scatter`) when the next pass has no
-  implementation for the required physical axis, or at the very end.
-  Transposes move data without changing any value, so eliding them cannot
-  change a single output bit.
+  physical axis instead.  Every pass implements both physical axes, so
+  only a plan that *ends* transposed copies once, at the very end.
+  Transposes move data without changing any value, so eliding them
+  cannot change a single output bit.
 * **Associativity strength reduction.**  Integer addition wraps modulo
   ``2**n`` and is therefore fully associative — *any* summation order
   produces identical bits.  Integer-accumulator passes lower to plain
-  whole-row / whole-column accumulates (no chunking, no strip offsets)
-  and implement both physical axes, so integer plans run transpose-free.
+  whole-row / whole-column accumulates (no chunking, no strip offsets).
   Float addition is not associative, so float passes keep the kernels'
-  exact association (:mod:`repro.compile.ops`) and usually implement only
-  their natural axis.
+  exact association (:mod:`repro.compile.ops`) in one program per pass
+  that scans down axis -2 and serves both orientations
+  (:meth:`LoweredPass.both_axes`).
 
 Anything the compiler cannot prove it can lower — a pass without a
-``lower`` hook, an unknown scan variant, un-recorded plans — raises
+``lower`` hook or without a body for either axis, an unknown scan
+variant, un-recorded plans — raises
 :class:`CompileError`; callers fall back to the interpreted path.
 """
 
@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
-
-from .ops import transpose_scatter
 
 __all__ = [
     "CompileError", "LoweredPass", "CompiledPass", "CompiledPlan",
@@ -65,9 +63,8 @@ class LoweredPass:
     """What a pass's ``lower`` hook hands back: physical-axis scan bodies.
 
     ``rows`` scans along the last axis of a ``(depth, H, W)`` stack,
-    ``cols`` along axis 1; either may be ``None`` when the pass has no
-    program for that orientation (the executor materialises a transpose
-    first).  Bodies may scan **in place** — the executing layers hand the
+    ``cols`` along axis 1; :func:`compile_plan` refuses a pass that lacks
+    either.  Bodies may scan **in place** — the executing layers hand the
     program a private staging stack.  ``col_major`` marks passes whose
     *logical* scan runs down columns (ScanColumn).
     """
@@ -76,16 +73,24 @@ class LoweredPass:
     cols: Optional[Callable[[np.ndarray], np.ndarray]] = None
     col_major: bool = False
 
+    @classmethod
+    def both_axes(cls, scan: Callable[[np.ndarray], np.ndarray],
+                  col_major: bool = False) -> "LoweredPass":
+        """Both bodies of one program that scans down axis -2: ``cols``
+        is ``scan`` itself; ``rows`` runs it over a trailing unit axis."""
+        return cls(rows=lambda stack: scan(stack[..., None])[..., 0],
+                   cols=scan, col_major=col_major)
+
 
 @dataclass
 class CompiledPass:
     """One lowered kernel pass: scan bodies plus its logical geometry."""
 
     name: str
-    #: Scan along the last (row) physical axis, or ``None``.
-    rows: Optional[Callable[[np.ndarray], np.ndarray]]
-    #: Scan along physical axis 1 (down columns), or ``None``.
-    cols: Optional[Callable[[np.ndarray], np.ndarray]]
+    #: Scan along the last (row) physical axis.
+    rows: Callable[[np.ndarray], np.ndarray]
+    #: Scan along physical axis 1 (down columns).
+    cols: Callable[[np.ndarray], np.ndarray]
     #: The pass's logical scan axis is the column axis.
     col_major: bool
     #: Whether the pass ends with a per-image transposed store.
@@ -112,26 +117,17 @@ class CompiledPlan:
         the returned array may alias it.
 
         ``t`` tracks the pending per-image transpose: when true, ``cur``
-        holds the transposed image of the logical intermediate.  A pass
-        whose required physical axis has no body forces materialisation.
+        holds the transposed image of the logical intermediate, and each
+        pass scans the other physical axis.  Only a plan that ends
+        transposed materialises it.
         """
         cur = stack
         t = False
         for p in self.passes:
-            want_cols = p.col_major != t
-            if want_cols and p.cols is not None:
-                cur = p.cols(cur)
-            elif not want_cols and p.rows is not None:
-                cur = p.rows(cur)
-            else:
-                cur = transpose_scatter(cur)
-                self.transposes += 1
-                t = not t
-                want_cols = p.col_major != t
-                cur = p.cols(cur) if want_cols else p.rows(cur)
+            cur = p.cols(cur) if p.col_major != t else p.rows(cur)
             t = t != p.transposed
         if t:
-            cur = transpose_scatter(cur)
+            cur = np.ascontiguousarray(np.swapaxes(cur, -1, -2))
             self.transposes += 1
         self.executions += 1
         return cur
@@ -170,8 +166,8 @@ def compile_plan(spec, launch_plans: Sequence, tp,
             raise
         except Exception as e:  # defensive: a broken hook must not crash
             raise CompileError(f"lowering {p.name!r} failed: {e}") from e
-        if low is None or (low.rows is None and low.cols is None):
-            raise CompileError(f"pass {p.name!r} declined to lower")
+        if low is None or low.rows is None or low.cols is None:
+            raise CompileError(f"pass {p.name!r} did not lower both axes")
         passes.append(CompiledPass(
             name=p.name, rows=low.rows, cols=low.cols,
             col_major=low.col_major, transposed=p.transposed,

@@ -149,14 +149,13 @@ def _lower_scanrow(stats, tp, opts):
     scan = WARP_SCAN_LOWERED.get(opts.get("scan", "kogge_stone"))
     if scan is None:
         raise CompileError(f"no lowered warp scan for {opts.get('scan')!r}")
-    return LoweredPass(rows=lambda stack: carry_through_row_scan(stack, scan))
+    return LoweredPass.both_axes(lambda x: carry_through_row_scan(x, scan))
 
 
 def _lower_scancolumn(stats, tp, opts):
     # Serial scans down 32-row chunks with Fig.-3c band offsets sized by
-    # the recorded warps-per-block — the row program on the column axis
-    # (col_major: the executor transposes to reach the float row body;
-    # integer plans scan axis 1 directly and stay transpose-free).
+    # the recorded warps-per-block — the strip program of the BRLT passes,
+    # logically down the columns (col_major).
     from ..compile.lower import LoweredPass
     from ..compile.ops import (chunked_row_scan, int_col_scan, int_row_scan,
                                is_integer_acc, serial_chunk_scan)
@@ -165,9 +164,8 @@ def _lower_scancolumn(stats, tp, opts):
         return LoweredPass(rows=int_row_scan, cols=int_col_scan,
                            col_major=True)
     wpb = int(np.prod(stats.block)) // 32
-    return LoweredPass(
-        rows=lambda stack: chunked_row_scan(stack, wpb, serial_chunk_scan),
-        col_major=True)
+    return LoweredPass.both_axes(
+        lambda x: chunked_row_scan(x, wpb, serial_chunk_scan), col_major=True)
 
 
 SPEC = register_kernel_spec(

@@ -115,8 +115,7 @@ def _host_pass(a):
 def _lower_pass(stats, tp, opts):
     # Same strip/offset/carry structure as BRLT-ScanRow, but the inner
     # chunk scan is the lowered warp scan the cold run selected.  Integer
-    # accumulators reduce to whole-axis accumulates (association-free),
-    # with both physical axes so the executor elides the transposes.
+    # accumulators reduce to whole-axis accumulates (association-free).
     from ..compile.lower import CompileError, LoweredPass
     from ..compile.ops import (WARP_SCAN_LOWERED, chunked_row_scan,
                                int_col_scan, int_row_scan, is_integer_acc)
@@ -129,7 +128,7 @@ def _lower_pass(stats, tp, opts):
             f"no lowered warp scan for {opts.get('scan')!r}"
         )
     wpb = int(np.prod(stats.block)) // 32
-    return LoweredPass(rows=lambda stack: chunked_row_scan(stack, wpb, scan))
+    return LoweredPass.both_axes(lambda x: chunked_row_scan(x, wpb, scan))
 
 
 _PASS = dict(

@@ -88,12 +88,18 @@ def interpreted_warp_scan(name: str, x: np.ndarray) -> np.ndarray:
 @example(rows=3, seed=0, pair="32f32f", density=1.0)
 @example(rows=3, seed=1, pair="64f64f", density=0.3)
 def test_warp_scan_bit_identical(name, rows, seed, pair, density):
+    """Lanes run down axis -2 in both orientations: a row chunk as
+    ``(..., 32, 1)``, a column slab as ``(32, C)``."""
     dtype = parse_pair(pair).output.np_dtype
     x = adversarial(seed, (rows, 32), dtype, density)
     want = interpreted_warp_scan(name, x)
+    scan = ops.WARP_SCAN_LOWERED[name]
     got = x.copy()
-    assert ops.WARP_SCAN_LOWERED[name](got) is got  # in place
+    assert scan(got[..., None]).base is got  # in place
     assert_bits_equal(got, want)
+    got = x.T.copy()
+    assert scan(got) is got
+    assert_bits_equal(got.T, want)
 
 
 # -- whole lowered passes against the interpreter ---------------------------
@@ -101,7 +107,8 @@ def test_warp_scan_bit_identical(name, rows, seed, pair, density):
 #: (spec, pass index, opts): every pass body the float pairs lower to.
 #: ScanRow-BRLT and BRLT-ScanRow run ``chunked_row_scan`` (warp-scan and
 #: serial chunks), ScanRow runs ``carry_through_row_scan``, ScanColumn
-#: runs ``chunked_row_scan`` down the columns.
+#: runs ``chunked_row_scan`` with serial chunks; each pass has one row
+#: and one column body, both the same program down axis -2.
 PASSES = (
     [(brlt_scanrow.SPEC, 0, {})]
     + [(scanrow_brlt.SPEC, 0, {"scan": s}) for s in SCANS]
@@ -137,6 +144,34 @@ def test_pass_body_bit_identical(case, height, width, seed, pair, density):
     assert_bits_equal(program.run(x[None].copy())[0], dst.to_host())
 
 
+@pytest.mark.parametrize("case", PASSES, ids=[_pass_id(c) for c in PASSES])
+@given(length=st.sampled_from([32, 96, 544, 1056]),
+       across=st.sampled_from([32, 64]), **chunks)
+@example(length=1056, across=32, seed=2, pair="32f32f", density=0.05)
+@example(length=544, across=64, seed=3, pair="64f64f", density=0.3)
+def test_both_axis_bodies_bit_identical(case, length, across, seed, pair,
+                                        density):
+    """Both bodies of one pass against the interpreter: the body of the
+    pass's own scan axis on the image, the other body on the physically
+    transposed image (so a row pass scans down columns 544 and 1056
+    long, two strips of the double and float launches)."""
+    spec, i, opts = case
+    p = spec.passes[i]
+    tp = parse_pair(pair)
+    shape = (length, across) if p.name == "ScanColumn" else (across, length)
+    x = adversarial(seed, shape, tp.output.np_dtype, density)
+    dst, stats = launch_pass(p, GlobalArray(x.copy(), "in"), acc=tp.output,
+                             device=P100, opts=opts, sanitize=False,
+                             bounds_check=False)
+    low = p.lower(stats, tp, opts)
+    # The pass's result before any transposed store.
+    want = dst.to_host().T if p.transposed else dst.to_host()
+    own, other = (low.cols, low.rows) if low.col_major else (low.rows,
+                                                             low.cols)
+    assert_bits_equal(own(x[None].copy())[0], want)
+    assert_bits_equal(other(x.T[None].copy())[0], want.T)
+
+
 # -- the integer column scan ------------------------------------------------
 
 @pytest.mark.parametrize("depth", [1, 3])
@@ -166,16 +201,32 @@ def test_int_col_scan_branches_agree(monkeypatch, depth, height, width,
 @pytest.mark.parametrize("name", SCANS + ["serial"])
 @pytest.mark.parametrize("pair", FLOAT_PAIRS)
 def test_warp_scan_writes_only_its_chunk(name, pair):
+    """Row chunks (``(..., 32, 1)`` views) and column slabs (``(..., 32,
+    C)`` views) of a bigger buffer alike."""
     scan = (ops.serial_chunk_scan if name == "serial"
             else ops.WARP_SCAN_LOWERED[name])
     dtype = parse_pair(pair).output.np_dtype
-    big = adversarial(5, (6, 3, 32), dtype, 0.3)
-    before = big.copy()
-    want = scan(big[:, 1, :].copy())
-    got = scan(big[:, 1, :])
-    assert_bits_equal(got, want)
-    assert_bits_equal(big[:, 1, :], want)  # in place, through the view
-    assert_bits_equal(big[:, ::2, :], before[:, ::2, :])
+    for shape, view, rest in (
+            ((6, 3, 32), np.s_[:, 1, :, None], np.s_[:, ::2]),
+            ((2, 3, 32, 6), np.s_[:, 1], np.s_[:, ::2])):
+        big = adversarial(5, shape, dtype, 0.3)
+        before = big.copy()
+        want = scan(big[view].copy())
+        got = scan(big[view])
+        assert_bits_equal(got, want)
+        assert_bits_equal(big[view], want)  # in place, through the view
+        assert_bits_equal(big[rest], before[rest])
+
+
+@pytest.mark.parametrize("pair", FLOAT_PAIRS)
+@pytest.mark.parametrize("shape", [(1, 32, 32), (3, 32, 64), (2, 32, 512)])
+def test_serial_chunk_scan_forms_agree(monkeypatch, pair, shape):
+    """The lane accumulate and the lane loop give the same bits."""
+    x = adversarial(7, shape, parse_pair(pair).output.np_dtype, 0.3)
+    monkeypatch.setattr(ops, "SERIAL_LOOP_SLAB", 0)        # always loop
+    loop = ops.serial_chunk_scan(x.copy())
+    monkeypatch.setattr(ops, "SERIAL_LOOP_SLAB", 1 << 62)  # never loop
+    assert_bits_equal(loop, ops.serial_chunk_scan(x.copy()))
 
 
 SPECS = {"brlt_scanrow": brlt_scanrow.SPEC,

@@ -12,13 +12,18 @@ mismatch path is checked here too.
 import numpy as np
 import pytest
 
+from repro.compile import CompileError, compile_plan
+from repro.compile.lower import LoweredPass
+from repro.compile.ops import WARP_SCAN_LOWERED
+from repro.dtypes import parse_pair
 from repro.engine import Engine
 from repro.engine.batch import default_engine
 from repro.gpusim.launch import LaunchPlan, launch_kernel, replay_kernel
 from repro.gpusim.replay import TapeMismatchError
 from repro.obs import get_metrics, reset_metrics
 from repro.obs.trace import Tracer, tracing
-from repro.sat.api import sat
+from repro.sat import brlt_scanrow
+from repro.sat.api import PAPER_ALGORITHMS, sat
 
 from ..helpers import make_image
 
@@ -58,12 +63,46 @@ class TestLifecycle:
         for a, b in zip(warm.launches, cold.launches):
             assert a.counters.as_dict() == b.counters.as_dict()
 
-    def test_integer_plans_run_transpose_free(self):
-        img = make_image((64, 64), "8u32s", seed=2)
-        sat(img, pair="8u32s", backend="compiled")
-        sat(img, pair="8u32s", backend="compiled")
+    @pytest.mark.parametrize("scan", sorted(WARP_SCAN_LOWERED))
+    @pytest.mark.parametrize("pair", ["8u32s", "32f32f", "64f64f"])
+    @pytest.mark.parametrize("algo", sorted(PAPER_ALGORITHMS))
+    def test_plans_run_transpose_free(self, algo, pair, scan):
+        """Every pass scans either physical axis, so no warm program
+        materialises a transpose, and it still matches the interpreter
+        bit for bit."""
+        img = make_image((96, 160), pair, seed=2)
+        ref = sat(img, pair=pair, algorithm=algo, scan=scan, backend="gpusim")
+        sat(img, pair=pair, algorithm=algo, scan=scan, backend="compiled")
+        warm = sat(img, pair=pair, algorithm=algo, scan=scan,
+                   backend="compiled")
         (plan,) = _compiled_plans(default_engine().cache)
+        assert plan.compiled.executions == 1
         assert plan.compiled.transposes == 0
+        assert warm.output.tobytes() == ref.output.tobytes()
+
+    def test_pass_without_cols_body_falls_back(self, monkeypatch):
+        """A lowering missing one orientation is refused at compile time
+        and the call runs interpreted, bit-identical."""
+        both_axes = LoweredPass.both_axes
+
+        def rows_only(scan, col_major=False):
+            return LoweredPass(rows=both_axes(scan).rows, cols=None,
+                               col_major=col_major)
+
+        monkeypatch.setattr(LoweredPass, "both_axes", rows_only)
+        img = make_image((64, 96), "32f32f", seed=6)
+        ref = sat(img, pair="32f32f", algorithm="brlt_scanrow",
+                  backend="gpusim")
+        m = get_metrics()
+        run = sat(img, pair="32f32f", algorithm="brlt_scanrow",
+                  backend="compiled")
+        assert m.counter_total("compile.fallback") == 1
+        (plan,) = _compiled_plans(default_engine().cache)
+        assert plan.compiled is None
+        with pytest.raises(CompileError, match="both axes"):
+            compile_plan(brlt_scanrow.SPEC, plan.launch_plans,
+                         parse_pair("32f32f"), {})
+        assert run.output.tobytes() == ref.output.tobytes()
 
     def test_execute_failure_falls_back_and_recompiles(self):
         img = make_image((40, 40), "8u32s", seed=3)
