@@ -3,7 +3,7 @@
 Measures the tentpole claim of the engine: a batch of repeated-shape
 images through ``sat_batch`` must beat per-image ``sat()`` calls by >= 2x
 in both modeled GPU throughput (launch-overhead amortisation across the
-stacked grid) and host wall clock (plan reuse + address-tape replays),
+stacked grid) and host wall clock (plan reuse + lowered warm programs),
 with bit-identical per-image outputs, counters and timings.
 
 Run directly::
@@ -13,6 +13,8 @@ Run directly::
                                                 # plan-cache hit rate >= 0.9
     python benchmarks/bench_batch.py --smoke --backend compiled \
         --pair 32f32f --algorithm scan_row_column  # float compiled batch
+    REPRO_GPUSIM_BOUNDS_CHECK=1 python benchmarks/bench_batch.py --smoke
+        # warm images on interpreted plan replays
 
 The full run appends a row to ``BENCH_batch.json`` at the repo root so the
 engine's performance history survives across commits.
@@ -113,19 +115,23 @@ def run_full(n_images: int, size: int, algorithm: str, pair: str,
                         backend=backend)
     _check_identical(run.runs, solo)
 
-    # Warm pass: plan cache (and tapes / compiled programs) fully populated.
+    # Warm pass: plan cache and lowered programs fully populated.
     warm = eng.run_batch(imgs, pair=pair, algorithm=algorithm, device=device,
                          backend=backend)
     _check_identical(warm.runs, solo)
 
     # Non-default backends are additionally scored against the *warm*
-    # interpreted engine — the fair baseline the compiled path replaces.
+    # interpreted engine.  Warm gpusim chunks run the lowered program too,
+    # so the interpreted baseline is the bounds-checked batch: the one
+    # warm path that still replays the kernels.
     wall_interp_warm = None
     if backend != "gpusim":
         eng_i = Engine()
-        eng_i.run_batch(imgs, pair=pair, algorithm=algorithm, device=device)
+        interp = dict(pair=pair, algorithm=algorithm, device=device,
+                      backend="gpusim", bounds_check=True)
+        eng_i.run_batch(imgs, **interp)
         t0 = time.perf_counter()
-        eng_i.run_batch(imgs, pair=pair, algorithm=algorithm, device=device)
+        eng_i.run_batch(imgs, **interp)
         wall_interp_warm = time.perf_counter() - t0
 
     # One metric formatter for bench entries, exporters and the regression

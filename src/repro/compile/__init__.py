@@ -1,12 +1,11 @@
-"""Tape compilation: closed-form NumPy replay of recorded launch plans.
+"""Plan compilation: closed-form NumPy programs for recorded launch plans.
 
 The simulated SAT kernels are deterministic array programs: control flow
 depends only on launch geometry, never on data values (the invariant the
-plan cache and address tapes of :mod:`repro.engine` / :mod:`repro.gpusim.
-replay` already rely on).  This package pushes that one step further —
-instead of *replaying* a recorded launch through the interpreter, it
-*lowers* the launch plan into a :class:`~repro.compile.lower.CompiledPlan`:
-a closed-form sequence of whole-grid NumPy scan operations per kernel
+plan cache of :mod:`repro.engine` relies on to clone recorded counters).
+This package pushes that one step further — instead of *replaying* a
+recorded launch through the interpreter, it *lowers* the launch plan
+into a :class:`~repro.compile.lower.CompiledPlan`: a closed-form sequence of whole-grid NumPy scan operations per kernel
 pass, bit-identical to the interpreted execution (including float
 summation order) but with zero interpreter steps.
 
@@ -15,7 +14,8 @@ emulators and the strip-offset/carry programs, each serving both memory
 orientations); :mod:`repro.compile.lower` assembles them into compiled plans from a
 :class:`~repro.exec.registry.KernelSpec` plus the recorded per-pass
 :class:`~repro.gpusim.launch.LaunchStats`.  The ``compiled`` execution
-backend (:mod:`repro.exec.backends`) and the batch engine consume them.
+backend (:mod:`repro.exec.backends`) and the batch engine consume them:
+every warm stacked chunk of a ``gpusim`` or ``compiled`` batch runs one.
 """
 
 from .lower import CompiledPass, CompiledPlan, CompileError, compile_plan

@@ -9,12 +9,17 @@ the paper amortises on hardware.  The engine removes both:
   geometry, grid/block dims, shared-memory layout, counters, timings and
   staging buffers are recorded once per ``(shape-bucket, pair, algorithm,
   device, opts)`` and reused for every further image in the bucket.
-* **Batch stacking**: same-bucket images are concatenated along each
-  kernel's grid-parallel matrix axis and run as ONE replayed launch with
-  that grid axis scaled by the batch depth.  Blocks along that axis are
-  fully independent in all three paper kernels (carries run along the
-  other axis), so the per-image results are bit-identical to solo runs
-  while the per-launch host overhead is paid once per chunk.
+* **Batch stacking**: same-bucket images run as ONE stacked launch per
+  pass, the pass's grid-parallel axis scaled by the batch depth.  Blocks
+  along that axis are fully independent in all three paper kernels
+  (carries run along the other axis), so the per-image results are
+  bit-identical to solo runs while the per-launch host overhead is paid
+  once per chunk.  Warm chunks execute the plan's lowered program
+  (:mod:`repro.compile`) on a ``(depth, H, W)`` stack, whichever of
+  ``gpusim`` and ``compiled`` was requested; bounds-checked chunks, and a
+  chunk whose program raised, replay the interpreted kernels over images
+  concatenated along that axis
+  (:func:`~repro.gpusim.launch.replay_kernel`).
 
 Per-image stats are clones of the recorded cold launch — bit-identical to
 what looped ``sat()`` calls would report.  The *aggregate* modeled time is
@@ -35,7 +40,7 @@ import numpy as np
 from ..dtypes import TypePair
 from ..obs.context import timeline_add, timeline_count
 from ..obs.metrics import get_metrics
-from ..obs.trace import current_tracer
+from ..obs.trace import annotate_launch, current_tracer
 from ..exec.config import ExecutionConfig, requested_backend, resolve_execution
 from ..exec.registry import (
     BatchSpec,
@@ -195,6 +200,13 @@ class BatchRun:
         )
 
 
+def _stacked_grid(stats, p, depth: int) -> Tuple[int, int, int]:
+    """The recorded grid with pass ``p``'s stacking axis scaled by depth."""
+    grid = list(stats.grid)
+    grid[_AXIS_INDEX[p.grid_axis]] *= depth
+    return tuple(grid)
+
+
 def _stacked_time_s(stats, depth: int) -> float:
     """Modeled time of a stacked launch: cold counters x depth over
     depth-fold blocks (chain clocks describe one warp and stay fixed)."""
@@ -260,7 +272,7 @@ class Engine:
                 algorithm = decision.algorithm
                 opts = {**decision.opts_dict(), **opts}
                 # The planner may recommend the compiled backend for deep
-                # batches (warm tape replays amortise the cold compile).
+                # batches (warm lowered programs amortise the cold compile).
                 # Apply it only when the caller left the backend floating
                 # on the simulator — an explicit backend request, in any
                 # spelling, always wins.
@@ -297,10 +309,10 @@ class Engine:
             if sanitize is not None:
                 call_opts["sanitize"] = sanitize
 
-        # gpusim batches stack interpreted replays; compiled batches stack
-        # lowered whole-grid programs over the same plans.  Everything else
-        # (host, baselines, sanitized runs) loops per image — the sanitizer
-        # is the trusted slow mode and never runs over compiled code.
+        # gpusim and compiled batches record one plan per bucket cold and
+        # stack the warm images.  Everything else (host, baselines,
+        # sanitized runs) loops per image — the sanitizer is the trusted
+        # slow mode and never runs over compiled code.
         batchable = res.backend in ("gpusim", "compiled")
 
         spec_method = BATCH_SPECS.get(algorithm)
@@ -448,11 +460,10 @@ class Engine:
         modeled_batched = 0.0
 
         # Key plans on the *resolved* modes, so equivalent spellings (env
-        # var vs. config object vs. kwarg) share plans and address tapes,
-        # while bounds-checked and compiled variants stay distinct.
+        # var vs. config object vs. kwarg) share plans, while
+        # bounds-checked and compiled variants stay distinct.
         key_opts = dict(opts, bounds_check=res.bounds_check)
-        compiled_mode = res.backend == "compiled"
-        if compiled_mode:
+        if res.backend == "compiled":
             # The cold run must be the fully-accounted simulator run that
             # records the plan this engine compiles; routing it through the
             # compiled backend would record into the default engine's cache
@@ -494,8 +505,8 @@ class Engine:
     def _run_group_locked(self, fn, imgs, tp, dev, algorithm, spec, opts,
                           call_opts, res, grp, plan, pending, tracer,
                           hits, misses, modeled_batched, runs):
-        """Cold-record + replay one bucket group (caller holds plan.lock)."""
-        compiled_mode = res.backend == "compiled"
+        """Cold-record + run the warm chunks of one bucket group (caller
+        holds plan.lock)."""
         if not plan.recorded:
             # One cold, fully-accounted run records the bucket's plan.
             if tracer is not None:
@@ -505,15 +516,15 @@ class Engine:
             run0 = fn(imgs[i0], pair=tp, device=dev, **call_opts)
             for lp, s in zip(plan.launch_plans, run0.launches):
                 lp.record(replace(s, counters=s.counters.copy()))
-            if compiled_mode:
-                run0.backend = "compiled"
+            run0.backend = res.backend
             runs[i0] = run0
             misses += 1
             self.cache.note_miss()
             modeled_batched += run0.time_s
-        if compiled_mode and not res.bounds_check:
-            # Lower the recorded plan once per bucket; failure leaves
-            # the bucket on the interpreted replay path.
+        if not res.bounds_check:
+            # Lower the recorded plan once per bucket; failure leaves the
+            # bucket on the interpreted replay path, which is also the one
+            # that keeps every access bounds-checked.
             from ..exec.backends import ensure_compiled
 
             ensure_compiled(plan, get_kernel_spec(algorithm), tp, opts)
@@ -531,7 +542,7 @@ class Engine:
                 BucketGroup(grp.bucket, pending), per_img
             )
             for chunk in chunks:
-                if compiled_mode and plan.compiled is not None:
+                if plan.compiled is not None:
                     modeled_batched += self._compiled_chunk(
                         plan, spec, tp, dev, algorithm, imgs, chunk,
                         runs, res,
@@ -642,10 +653,8 @@ class Engine:
             )
 
             lp = plan.launch_plans[pi]
-            grid = list(lp.stats.grid)
-            grid[_AXIS_INDEX[p.grid_axis]] *= depth
             replay_kernel(
-                p.kernel, plan=lp, grid=tuple(grid),
+                p.kernel, plan=lp, grid=_stacked_grid(lp.stats, p, depth),
                 args=(cur, dst) + tuple(p.extra_args),
                 bounds_check=res.bounds_check,
             )
@@ -689,9 +698,10 @@ class Engine:
         lowered pass vectorises over the leading batch axis exactly as the
         interpreted replay scales its grid axis, with no restacking
         between passes.  Outputs, per-image counters and the modeled
-        stacked time are bit-identical to :meth:`_replay_chunk`; an
-        execute-time failure drops the program (``compile.fallback``) and
-        reruns the chunk interpreted.
+        stacked time are bit-identical to :meth:`_replay_chunk`, and each
+        pass still leaves a ``replay`` span at its stacked grid for the
+        modeled timeline.  An execute-time failure drops the program
+        (``compile.fallback``) and reruns the chunk interpreted.
         """
         depth = len(chunk)
         hp, wp = plan.key.bucket
@@ -716,9 +726,17 @@ class Engine:
         try:
             with (tracer.span(f"chunk:{algorithm}", category="chunk",
                               algorithm=algorithm, depth=depth,
-                              bucket=(hp, wp), backend="compiled")
+                              bucket=(hp, wp), backend=res.backend)
                   if tracer is not None else nullcontext()) as sp:
                 out3 = plan.compiled.run(x3)
+                if sp is not None:
+                    for p, lp in zip(spec.passes, plan.launch_plans):
+                        with tracer.span(lp.stats.name,
+                                         category="replay") as psp:
+                            annotate_launch(psp, lp.stats,
+                                            bounds_check=res.bounds_check)
+                            psp.attrs["grid"] = _stacked_grid(lp.stats, p,
+                                                              depth)
         except Exception as e:
             plan.compiled = None
             get_metrics().counter("compile.fallback",
@@ -747,7 +765,7 @@ class Engine:
                 algorithm=algorithm,
                 device=dev.name,
                 pair=tp.name,
-                backend="compiled",
+                backend=res.backend,
             )
         return t_stacked
 
@@ -786,8 +804,10 @@ def sat_batch(
         (or leaving it unset with autotuning enabled) asks the
         :class:`~repro.plan.Planner` for the batch-aware choice — at
         batch depth >= 4 that includes upgrading a floating ``gpusim``
-        backend to ``compiled`` so warm tape replays amortise the cold
-        compile.  ``sanitize=True`` runs the batch
+        backend to ``compiled``.  Warm images of a ``gpusim`` or
+        ``compiled`` batch run the plan's lowered program;
+        ``bounds_check=True`` keeps them on interpreted plan replays.
+        ``sanitize=True`` runs the batch
         fully instrumented (per-image cold launches, no plan replay);
         ``backend="host"`` computes every image on the pure-NumPy
         executor (no launches, no modeled time).

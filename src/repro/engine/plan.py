@@ -5,17 +5,18 @@ the launch *geometry*: padded shapes, grid/block dims, shared-memory
 layout, coalescing/bank-conflict analysis and cost-model setup.  None of
 them depend on the pixel values.  A :class:`SatPlan` memoises all of that
 for one ``(shape-bucket, pair, algorithm, device, opts, backend)`` key —
-recorded once from a cold run, then replayed for every further image in
-the bucket via :func:`~repro.gpusim.launch.replay_kernel` (interpreted
-replay) or, on the ``compiled`` backend, executed as the plan's
-:class:`~repro.compile.lower.CompiledPlan` with zero interpreter steps.
+recorded once from a cold run, then reused for every further image in
+the bucket: warm images execute the plan's
+:class:`~repro.compile.lower.CompiledPlan` with zero interpreter steps,
+or — bounds-checked, or after the program raised — replay the kernels
+through :func:`~repro.gpusim.launch.replay_kernel`.
 
 The plan also owns the reusable padded staging buffers the batch path
 stacks images into, so steady-state batches allocate nothing per image.
 
 The cache is LRU-bounded (``max_plans``, default 256, overridable with
 ``REPRO_ENGINE_MAX_PLANS``) so varied shape streams cannot hoard plans,
-tapes and staging buffers without limit; evictions and the live size are
+compiled programs and staging buffers without limit; evictions and the live size are
 exported through :func:`repro.obs.metrics.get_metrics` as
 ``engine.plan_cache.evictions`` / ``engine.plan_cache.size``.
 """
@@ -43,8 +44,8 @@ class PlanKey:
     ``bucket`` is the *padded* image shape — images whose raw shapes pad to
     the same multiple share every counter and timing, so they share a plan.
     ``opts`` is the canonicalised (sorted) tuple of algorithm options that
-    reach the kernels.  ``backend`` keeps compiled and interpreted plans
-    distinct: a compiled plan additionally carries its lowered program.
+    reach the kernels.  ``backend`` keeps the plans of each backend
+    distinct; either kind lowers its own program once warm images arrive.
     """
 
     algorithm: str
@@ -78,9 +79,9 @@ class SatPlan:
     launch_plans: List[LaunchPlan] = field(default_factory=list)
     #: Reusable padded staging buffers, keyed ``(role, shape, dtype-str)``.
     staging: Dict[tuple, np.ndarray] = field(default_factory=dict)
-    #: Lowered program (:class:`~repro.compile.lower.CompiledPlan`) for
-    #: the ``compiled`` backend; ``None`` until compiled (or after an
-    #: execute-time fallback dropped it).
+    #: Lowered program (:class:`~repro.compile.lower.CompiledPlan`) the
+    #: warm images run; ``None`` until compiled (or after an execute-time
+    #: fallback dropped it, or for bounds-checked plans).
     compiled: Optional[object] = None
     #: Lowering attempts so far; a deterministic :class:`~repro.compile.
     #: lower.CompileError` pins this to ``MAX_COMPILE_ATTEMPTS`` so the

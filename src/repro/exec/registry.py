@@ -82,8 +82,8 @@ class PassSpec:
     transposed: bool
     #: Outstanding loads per warp fed to the cost model.
     mlp: int = 32
-    #: Optional tape-compiler hook: ``(LaunchStats, TypePair, opts) ->
-    #: callable`` lowering this pass for the ``compiled`` backend, or
+    #: Optional lowering hook: ``(LaunchStats, TypePair, opts) ->
+    #: callable`` lowering this pass for warm compiled execution, or
     #: ``None`` when the pass cannot be compiled.
     lower: Optional[Callable] = None
 

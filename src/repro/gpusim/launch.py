@@ -15,8 +15,8 @@ register-pressure behaviour for ``64f``.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .block import KernelContext
 from .counters import CostCounters
 from .device import DeviceSpec, get_device
 from .cost.model import KernelTiming, kernel_time
-from .replay import ReplayTape, TapeMismatchError
 from .sanitize import Sanitizer
 
 __all__ = ["LaunchStats", "LaunchPlan", "launch_kernel", "replay_kernel"]
@@ -93,22 +92,16 @@ class LaunchPlan:
     The simulator's counters and timings are functions of the launch
     *geometry* (grid/block dims, padded shapes, masks, access patterns) and
     never of the data values flowing through the kernel.  A plan therefore
-    captures the :class:`LaunchStats` of one representative cold launch;
-    :func:`replay_kernel` then re-executes the data movement for new inputs
-    with accounting disabled and hands back a clone of the recorded stats —
-    bit-identical to what a fresh cold launch would have recorded, at a
-    fraction of the setup cost.
+    captures the :class:`LaunchStats` of one representative cold launch,
+    and :meth:`clone_stats` hands back a copy for every warm launch of the
+    same geometry — bit-identical to what a fresh cold launch would have
+    recorded.  The data movement of a warm launch runs either through the
+    plan's lowered program (:mod:`repro.compile`) or, when bounds checking
+    is on or the program raised, through :func:`replay_kernel`.
     """
 
     #: Stats of the recorded cold launch (``None`` until recorded).
     stats: Optional[LaunchStats] = None
-    #: Address tapes recorded by the first replay at each grid (batched
-    #: stacks replay the plan at several depths; see
-    #: :mod:`repro.gpusim.replay`).  Bounded FIFO so depth churn cannot
-    #: hoard index memory.
-    tapes: Dict[Tuple[int, int, int], ReplayTape] = field(default_factory=dict)
-
-    MAX_TAPES = 4
 
     @property
     def recorded(self) -> bool:
@@ -156,13 +149,9 @@ def replay_kernel(
     one grid axis by the number of stacked images); counters still describe
     the recorded per-image geometry.
 
-    The first replay at each grid additionally records an address tape
-    (:class:`~repro.gpusim.replay.ReplayTape`): later replays reuse the
-    memoised gather/scatter geometry instead of recomputing index
-    arithmetic per op.  Tapes are skipped when bounds checking is active
-    (``bounds_check=True``, or ``None`` with the mode resolving on — the
-    slow path carries the checks), and a kernel that diverges from its
-    taped op sequence is transparently re-run untaped.
+    This is the interpreted warm path: the engine uses it for
+    bounds-checked batches (every access keeps its checks) and for a
+    chunk whose lowered program raised.
     """
     if plan.stats is None:
         raise RuntimeError("replay_kernel() requires a recorded plan")
@@ -174,46 +163,11 @@ def replay_kernel(
         bounds_check=bounds_check,
     )
     ctx.kernel_name = s.name
-    tape = None
-    if not bounds_check:
-        tape = plan.tapes.get(ctx.grid)
-        if tape is None:
-            if len(plan.tapes) >= LaunchPlan.MAX_TAPES:
-                plan.tapes.pop(next(iter(plan.tapes)))
-            tape = ReplayTape()
-            plan.tapes[ctx.grid] = tape
-        if tape.dead:
-            tape = None
-        else:
-            tape.rewind()
-            ctx.tape = tape
     tracer = current_tracer()
     get_metrics().counter("gpusim.replays", kernel=s.name).inc()
-    with (tracer.span(s.name, category="replay", grid=ctx.grid,
-                      taped=tape is not None)
+    with (tracer.span(s.name, category="replay", grid=ctx.grid)
           if tracer is not None else nullcontext()) as sp:
-        try:
-            fn(ctx, *args)
-            if tape is not None:
-                tape.finish()
-        except TapeMismatchError:
-            # Data-dependent op sequence: drop the tape and re-run untaped.
-            # Kernels only read their inputs and (re)write outputs/registers,
-            # so a partially-played launch is fully overwritten by the rerun.
-            tape.kill()
-            if tracer is not None:
-                tracer.event("tape.mismatch", category="replay", kernel=s.name)
-                # Warning-level twin of the mismatch event: the untaped
-                # rerun is a silent slow path, surfaced so `repro profile`
-                # makes regressions visible.
-                tracer.event("tape.fallback", category="replay",
-                             level="warning", kernel=s.name, grid=ctx.grid)
-            get_metrics().counter("gpusim.tape_mismatches", kernel=s.name).inc()
-            get_metrics().counter("tape.fallback", kernel=s.name).inc()
-            ctx = KernelContext(s.device, ctx.grid, s.block, record=False,
-                                bounds_check=bounds_check)
-            ctx.kernel_name = s.name
-            fn(ctx, *args)
+        fn(ctx, *args)
     out = plan.clone_stats()
     if sp is not None:
         # Replay stats are clones of the recorded cold launch; the span

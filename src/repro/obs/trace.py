@@ -28,11 +28,12 @@ category           emitted by
 =================  ====================================================
 ``sat``            one backend ``run()`` (all passes of one algorithm)
 ``launch``         :func:`~repro.gpusim.launch.launch_kernel` (cold)
-``replay``         :func:`~repro.gpusim.launch.replay_kernel`
+``replay``         one warm pass: :func:`~repro.gpusim.launch.replay_kernel`
+                   or a pass of a lowered chunk (zero wall time)
 ``kernel.phase``   a stage inside a kernel body (load/brlt/scan/...)
 ``pass.host``      one host-backend pass
 ``batch``          one :meth:`~repro.engine.batch.Engine.run_batch`
-``chunk``          one stacked replay chunk of the engine
+``chunk``          one stacked warm chunk of the engine
 ``calibrate``      one :class:`~repro.harness.runner.Runner` calibration
 =================  ====================================================
 
@@ -138,7 +139,7 @@ class Tracer:
 
     def __init__(self):
         self.spans: List[Span] = []
-        #: Instant events: plan-cache hits/misses, tape mismatches...
+        #: Instant events: plan-cache hits/misses, compile fallbacks...
         self.events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
         self._local = threading.local()

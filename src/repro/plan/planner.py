@@ -63,7 +63,7 @@ __all__ = [
 DEFAULT_ALGORITHM = "brlt_scanrow"
 
 #: Batch depth from which the planner recommends the ``compiled``
-#: backend: warm tape replays amortise the one cold compile by roughly
+#: backend: warm lowered programs amortise the one cold compile by roughly
 #: this depth (BENCH_batch.json's warm-vs-cold wall curves).
 COMPILED_BATCH_MIN = 4
 

@@ -12,8 +12,9 @@ Fault isolation
 ---------------
 A worker never dies on a request failure:
 
-* a batched launch that raises (e.g. a ``TapeMismatchError`` or
-  ``CompileError`` escaping the engine's own fallbacks) increments
+* a batched launch that raises (e.g. an ``OutOfBoundsError`` from a
+  bounds-checked launch, or a ``CompileError`` escaping the engine's own
+  fallbacks) increments
   ``serve.worker_error`` and is **retried solo**, one request at a time,
   so one poisoned request cannot fail its batch-mates;
 * a solo execution failure fails *that request only*, with a structured

@@ -14,6 +14,8 @@ from repro.obs import get_metrics, reset_metrics
 from repro.obs.context import recording_timeline
 from repro.sat.naive import exclusive_from_inclusive, sat_reference
 
+from ..helpers import make_image
+
 PAPER_ALGS = sorted(BATCH_SPECS)
 
 
@@ -34,7 +36,8 @@ def assert_run_pairs_identical(batch_runs, solo_runs):
     assert len(batch_runs) == len(solo_runs)
     for rb, rs in zip(batch_runs, solo_runs):
         assert rb.output.dtype == rs.output.dtype
-        assert np.array_equal(rb.output, rs.output)
+        assert rb.output.shape == rs.output.shape
+        assert rb.output.tobytes() == rs.output.tobytes()
         assert len(rb.launches) == len(rs.launches)
         for sb, ss in zip(rb.launches, rs.launches):
             assert sb.counters.as_dict() == ss.counters.as_dict(), sb.name
@@ -62,7 +65,7 @@ class TestBatchVsSequential:
 
     def test_warm_engine_replays_identically(self):
         """Second call on the same engine hits the plan cache *and* the
-        address tapes recorded by the first — results must not drift."""
+        program lowered by the first — results must not drift."""
         eng = Engine()
         imgs = make_images([(64, 96)] * 4)
         first = sat_batch(imgs, pair="8u32s", engine=eng)
@@ -73,12 +76,61 @@ class TestBatchVsSequential:
         assert_run_pairs_identical(second.runs, solo)
 
     def test_identical_under_bounds_check(self, monkeypatch):
-        """Bounds checking disables the address tapes; replays must still
-        match (just on the slow path)."""
+        """Bounds checking keeps warm images on interpreted replays;
+        they must still match (just on the slow path)."""
         monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
         imgs = make_images([(64, 64)] * 3)
         run = sat_batch(imgs, pair="8u32s", engine=Engine())
         solo = [sat(im, pair="8u32s") for im in imgs]
+        assert_run_pairs_identical(run.runs, solo)
+
+
+class TestWarmGpusimBatch:
+    """Warm gpusim chunks run the plan's lowered program; bounds-checked
+    chunks replay the interpreted kernels.  Both must be observationally
+    identical to per-image cold ``sat()``."""
+
+    SHAPES = [(64, 64), (50, 61), (64, 64), (64, 40), (57, 64)]
+
+    @pytest.mark.parametrize("pair", ["8u32s", "32f32f", "64f64f"])
+    @pytest.mark.parametrize("alg", PAPER_ALGS)
+    def test_lowered_chunks_match_cold_and_interpreted(self, alg, pair,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "0")
+        imgs = [make_image(s, pair, seed=i) for i, s in enumerate(self.SHAPES)]
+        reset_metrics()
+        run = sat_batch(imgs, pair=pair, algorithm=alg, backend="gpusim",
+                        engine=Engine())
+        m = get_metrics()
+        assert m.counter_total("compile.hit") == run.plan_hits > 0
+        assert m.counter_total("gpusim.replays") == 0
+        assert {r.backend for r in run.runs} == {"gpusim"}
+        solo = [sat(im, pair=pair, algorithm=alg, backend="gpusim")
+                for im in imgs]
+        assert_run_pairs_identical(run.runs, solo)
+
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
+        interp = sat_batch(imgs, pair=pair, algorithm=alg, backend="gpusim",
+                           engine=Engine())
+        assert interp.modeled_batched_s == run.modeled_batched_s
+        assert interp.modeled_sequential_s == run.modeled_sequential_s
+
+    @pytest.mark.parametrize("alg", PAPER_ALGS)
+    def test_bounds_checked_warm_batch_replays_interpreted(self, alg,
+                                                           monkeypatch):
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "1")
+        imgs = [make_image(s, "8u32s", seed=i)
+                for i, s in enumerate(self.SHAPES)]
+        reset_metrics()
+        eng = Engine()
+        run = sat_batch(imgs, pair="8u32s", algorithm=alg, backend="gpusim",
+                        engine=eng)
+        m = get_metrics()
+        assert m.counter_total("gpusim.replays") > 0
+        assert m.counter_total("compile.hit") == 0
+        assert all(p.compiled is None for p in eng.cache._plans.values())
+        solo = [sat(im, pair="8u32s", algorithm=alg, backend="gpusim")
+                for im in imgs]
         assert_run_pairs_identical(run.runs, solo)
 
 

@@ -5,8 +5,7 @@ shared plan cache: a cold call records and lowers, warm calls execute the
 compiled program, lowering refusals pin the bucket to the interpreted
 path, execute-time failures drop the program and recompile on the next
 call, and the trusted slow modes (sanitizer, bounds checks) never run
-over compiled code.  The ``tape.fallback`` twin of the replay tape's
-mismatch path is checked here too.
+over compiled code.
 """
 
 import numpy as np
@@ -18,10 +17,7 @@ from repro.compile.ops import WARP_SCAN_LOWERED
 from repro.dtypes import parse_pair
 from repro.engine import Engine
 from repro.engine.batch import default_engine
-from repro.gpusim.launch import LaunchPlan, launch_kernel, replay_kernel
-from repro.gpusim.replay import TapeMismatchError
 from repro.obs import get_metrics, reset_metrics
-from repro.obs.trace import Tracer, tracing
 from repro.sat import brlt_scanrow
 from repro.sat.api import PAPER_ALGORITHMS, sat
 
@@ -193,27 +189,3 @@ class TestBatchLifecycle:
         # One cold image records; the other four execute compiled.
         assert m.counter_total("compile.miss") == 1
         assert m.counter_total("compile.hit") == 4
-
-
-class TestTapeFallback:
-    def test_tape_mismatch_rerun_emits_warning_metric(self):
-        ran = []
-
-        def kern(ctx):
-            if getattr(ctx, "tape", None) is not None:
-                raise TapeMismatchError("data-dependent op sequence")
-            ran.append(1)
-
-        stats = launch_kernel(kern, device="P100", grid=1, block=32,
-                              regs_per_thread=8)
-        plan = LaunchPlan()
-        plan.record(stats)
-        with tracing(Tracer()) as tr:
-            out = replay_kernel(kern, plan=plan)
-        assert len(ran) == 2  # cold launch + untaped rerun
-        assert out.time_us == stats.time_us
-        m = get_metrics()
-        assert m.counter_total("tape.fallback") == 1
-        assert m.counter_total("gpusim.tape_mismatches") == 1
-        warn = [e for e in tr.events if e["name"] == "tape.fallback"]
-        assert len(warn) == 1 and warn[0]["level"] == "warning"

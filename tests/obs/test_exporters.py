@@ -133,6 +133,41 @@ class TestChromeTrace:
                 if e["ph"] == "X" and e["pid"] == MODELED_PID}
         assert "replay" in cats
 
+    @pytest.mark.parametrize("backend", ["gpusim", "compiled"])
+    def test_lowered_chunk_puts_passes_on_modeled_track(self, backend):
+        # A warm chunk runs the plan's lowered program as one call, yet it
+        # leaves one replay span per pass, at the stacked grid, so the
+        # modeled track and the Fig. 8 breakdown see every pass.
+        from repro.engine import Engine
+        from repro.exec.config import ExecutionConfig, execution
+
+        imgs = [make_image((64, 64), "8u32s", seed=i) for i in range(4)]
+        tr = Tracer()
+        with execution(ExecutionConfig(sanitize=False, bounds_check=False)), \
+                tracing(tr):
+            run = sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
+                            backend=backend, engine=Engine())
+        assert {r.backend for r in run.runs} == {backend}
+        doc = to_chrome_trace(tr)
+        assert validate_chrome_trace(doc) == []
+        replays = [e for e in doc["traceEvents"]
+                   if e["ph"] == "X" and e["pid"] == MODELED_PID
+                   and e["cat"] == "replay"]
+        assert [e["name"] for e in replays] == ["BRLT-ScanRow#1",
+                                                "BRLT-ScanRow#2"]
+        rows = pass_breakdown(tr)
+        assert [r["mode"] for r in rows] == ["launch"] * 2 + ["replay"] * 2
+        for launch, replay in zip(rows[:2], rows[2:]):
+            assert replay["kernel"] == launch["kernel"]
+            assert replay["modeled_us"] == launch["modeled_us"]
+        cold = run.runs[0].launches
+        spans = [sp for sp in tr.spans if sp.category == "replay"]
+        for sp, stats in zip(spans, cold):
+            grid = list(stats.grid)
+            grid[1] *= len(imgs) - 1  # both passes stack along grid y
+            assert sp.attrs["grid"] == tuple(grid)
+            assert sp.attrs["counters"] == stats.counters.as_dict()
+
 
 class TestPassBreakdown:
     def test_rows_sum_to_run_total(self, traced_sat):

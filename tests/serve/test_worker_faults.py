@@ -2,8 +2,8 @@
 their own request.
 
 ``WorkerPool._run_group`` is the execution seam: tests wrap it to raise
-the engine's real error types (``TapeMismatchError`` from replay,
-``CompileError`` from lowering) for marked "poison" images.  The
+the engine's real error types (``OutOfBoundsError`` from a
+bounds-checked launch, ``CompileError`` from lowering) for marked "poison" images.  The
 contract under test:
 
 * a failing batched launch is retried solo, so batch-mates of a poisoned
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.compile.lower import CompileError
-from repro.gpusim.replay import TapeMismatchError
+from repro.gpusim.sanitize import OutOfBoundsError
 from repro.obs import get_metrics, reset_metrics
 from repro.sat.api import sat
 from repro.serve import RectSumRequest, SatRequest, SatService, ServeError
@@ -64,7 +64,7 @@ def _inject(service, exc_type, monkeypatch):
     monkeypatch.setattr(service.pool, "_run_group", failing)
 
 
-@pytest.mark.parametrize("exc_type", [TapeMismatchError, CompileError])
+@pytest.mark.parametrize("exc_type", [OutOfBoundsError, CompileError])
 class TestExecutionFaults:
     def test_poison_fails_alone_batchmates_succeed(self, svc, monkeypatch,
                                                    exc_type):
