@@ -38,8 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..dtypes import TypePair
-from ..obs.context import timeline_add, timeline_count
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, observe
 from ..obs.trace import annotate_launch, current_tracer
 from ..exec.config import ExecutionConfig, requested_backend, resolve_execution
 from ..exec.registry import (
@@ -320,7 +319,7 @@ class Engine:
         with (tracer.span(f"batch:{algorithm}", category="batch",
                           algorithm=algorithm, device=dev.name, pair=tp.name,
                           n_images=len(imgs), backend=res.backend)
-              if tracer is not None else nullcontext()) as sp:
+              if tracer is not None else nullcontext()):
             if not batchable or res.sanitize or spec_method is None:
                 # Sanitized batches run cold per image so every launch is fully
                 # instrumented and sanitizer reports stay per-image accurate;
@@ -331,32 +330,18 @@ class Engine:
                 run = self._run_batched(
                     fn, imgs, tp, dev, algorithm, spec_method, opts, call_opts, res
                 )
-        if sp is not None:
-            sp.attrs["modeled_batched_s"] = run.modeled_batched_s
-            sp.attrs["modeled_sequential_s"] = run.modeled_sequential_s
-            sp.attrs["plan_hits"] = run.plan_hits
-            sp.attrs["plan_misses"] = run.plan_misses
-            sp.attrs["unplanned"] = run.unplanned
-
-        m = get_metrics()
-        m.counter("engine.batches", algorithm=algorithm).inc()
-        m.counter("engine.images", algorithm=algorithm).inc(run.n_images)
-        m.counter("engine.plan_hits").inc(run.plan_hits)
-        m.counter("engine.plan_misses").inc(run.plan_misses)
-        m.counter("engine.unplanned").inc(run.unplanned)
-        m.histogram("engine.modeled_batched_s", algorithm=algorithm).observe(
-            run.modeled_batched_s
-        )
-        # µs-scaled live quantile source for /metrics ("per-kernel
-        # modeled time").
-        m.histogram("engine.modeled_kernel_us", algorithm=algorithm).observe(
-            run.modeled_batched_s * 1e6
-        )
-        # Serving-timeline attributions; no-ops outside a serve request.
-        timeline_add("modeled_kernel_us", run.modeled_batched_s * 1e6)
-        timeline_count("plan_hits", run.plan_hits)
-        timeline_count("plan_misses", run.plan_misses)
-        timeline_count("unplanned", run.unplanned)
+            # Booked inside the batch span, which receives them as attrs.
+            count("engine.batches", algorithm=algorithm)
+            count("engine.images", run.n_images, algorithm=algorithm)
+            count("engine.plan_hits", run.plan_hits)
+            count("engine.plan_misses", run.plan_misses)
+            count("engine.unplanned", run.unplanned)
+            observe("engine.modeled_batched_s", run.modeled_batched_s,
+                    algorithm=algorithm)
+            # µs-scaled live quantile source for /metrics ("per-kernel
+            # modeled time").
+            observe("engine.modeled_kernel_us", run.modeled_batched_s * 1e6,
+                    algorithm=algorithm)
 
         if exclusive:
             for r in run.runs:
@@ -461,7 +446,8 @@ class Engine:
 
         # Key plans on the *resolved* modes, so equivalent spellings (env
         # var vs. config object vs. kwarg) share plans, while
-        # bounds-checked and compiled variants stay distinct.
+        # bounds-checked variants stay distinct.  Both simulator backends
+        # record and lower the same program, so they share one plan.
         key_opts = dict(opts, bounds_check=res.bounds_check)
         if res.backend == "compiled":
             # The cold run must be the fully-accounted simulator run that
@@ -473,7 +459,7 @@ class Engine:
         tracer = current_tracer()
         for grp in groups:
             key = PlanKey.make(algorithm, dev.name, tp.name, grp.bucket,
-                               key_opts, backend=res.backend)
+                               key_opts)
             plan = self.cache.get_or_create(key, spec)
             pending = list(grp.indices)
             # One thread per plan: the cold recording run, lowering and the
@@ -738,14 +724,10 @@ class Engine:
                             psp.attrs["grid"] = _stacked_grid(lp.stats, p,
                                                               depth)
         except Exception as e:
+            from ..exec.backends import book_compile_fallback
+
             plan.compiled = None
-            get_metrics().counter("compile.fallback",
-                                  algorithm=algorithm).inc()
-            timeline_count("compile_fallbacks")
-            if tracer is not None:
-                tracer.event("compile.fallback", category="compile",
-                             level="warning", algorithm=algorithm,
-                             reason=str(e))
+            book_compile_fallback(algorithm, e)
             return self._replay_chunk(
                 plan, spec, tp, dev, algorithm, imgs, chunk, runs, res
             )
@@ -755,8 +737,7 @@ class Engine:
         )
         if sp is not None:
             sp.attrs["modeled_us"] = t_stacked * 1e6
-        get_metrics().counter("compile.hit", algorithm=algorithm).inc(depth)
-        timeline_count("compile_hits", depth)
+        count("compile.hit", depth, algorithm=algorithm)
         for j, i in enumerate(chunk):
             h, w = imgs[i].shape
             runs[i] = SatRun(

@@ -27,7 +27,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, List, Optional, Tuple
 
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, get_metrics
 
 __all__ = ["LRUCache"]
 
@@ -166,11 +166,10 @@ class LRUCache:
     def _note_lookup(self, hit: bool) -> None:
         if self.emit_lookups:
             name = "hits" if hit else "misses"
-            get_metrics().counter(f"{self.metrics_prefix}.{name}").inc()
+            count(f"{self.metrics_prefix}.{name}")
 
     def _note_insert(self, evicted: int, size: int) -> None:
         if self.metrics_prefix:
-            m = get_metrics()
             if evicted:
-                m.counter(f"{self.metrics_prefix}.evictions").inc(evicted)
-            m.gauge(f"{self.metrics_prefix}.size").set(size)
+                count(f"{self.metrics_prefix}.evictions", evicted)
+            get_metrics().gauge(f"{self.metrics_prefix}.size").set(size)

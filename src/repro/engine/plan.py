@@ -4,7 +4,7 @@ Every ``sat()`` call pays per-launch fixed costs that are pure functions of
 the launch *geometry*: padded shapes, grid/block dims, shared-memory
 layout, coalescing/bank-conflict analysis and cost-model setup.  None of
 them depend on the pixel values.  A :class:`SatPlan` memoises all of that
-for one ``(shape-bucket, pair, algorithm, device, opts, backend)`` key —
+for one ``(shape-bucket, pair, algorithm, device, opts)`` key —
 recorded once from a cold run, then reused for every further image in
 the bucket: warm images execute the plan's
 :class:`~repro.compile.lower.CompiledPlan` with zero interpreter steps,
@@ -44,8 +44,9 @@ class PlanKey:
     ``bucket`` is the *padded* image shape — images whose raw shapes pad to
     the same multiple share every counter and timing, so they share a plan.
     ``opts`` is the canonicalised (sorted) tuple of algorithm options that
-    reach the kernels.  ``backend`` keeps the plans of each backend
-    distinct; either kind lowers its own program once warm images arrive.
+    reach the kernels, plus the resolved ``bounds_check`` mode.  There is
+    no backend field: ``gpusim`` and ``compiled`` record the same cold run
+    and lower the same program, so they share the plan.
     """
 
     algorithm: str
@@ -53,19 +54,16 @@ class PlanKey:
     pair: str
     bucket: Tuple[int, int]
     opts: Tuple[Tuple[str, object], ...] = ()
-    backend: str = "gpusim"
 
     @classmethod
     def make(cls, algorithm: str, device: str, pair: str,
-             bucket: Tuple[int, int], opts: dict,
-             backend: str = "gpusim") -> "PlanKey":
+             bucket: Tuple[int, int], opts: dict) -> "PlanKey":
         return cls(
             algorithm=algorithm,
             device=device,
             pair=pair,
             bucket=(int(bucket[0]), int(bucket[1])),
             opts=tuple(sorted(opts.items())),
-            backend=backend,
         )
 
 

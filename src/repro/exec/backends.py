@@ -32,8 +32,7 @@ from ..dtypes import TypePair
 from ..gpusim.device import get_device
 from ..gpusim.global_mem import GlobalArray
 from ..gpusim.launch import LaunchStats, launch_kernel
-from ..obs.context import timeline_count
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, observe
 from ..obs.trace import current_tracer
 from ..sat.common import SatRun, crop, pad_matrix, regs_per_thread
 from .config import resolve_execution
@@ -110,6 +109,14 @@ def _stage_input(image: np.ndarray, tp: TypePair,
     return buf
 
 
+def _book_call(spec: KernelSpec, run: SatRun) -> SatRun:
+    """Book one finished call, once, under the backend that delivered it."""
+    count("sat.calls", algorithm=spec.algorithm, backend=run.backend)
+    if run.backend != "host":  # the host backend models no time
+        observe("sat.modeled_us", run.time_us, algorithm=spec.algorithm)
+    return run
+
+
 class GpusimBackend:
     """Execute a :class:`KernelSpec` on the warp-synchronous simulator."""
 
@@ -126,6 +133,14 @@ class GpusimBackend:
         sanitize: Optional[bool] = None,
         bounds_check: Optional[bool] = None,
     ) -> SatRun:
+        return _book_call(spec, self._interpret(
+            spec, image, tp=tp, device=device, opts=opts,
+            sanitize=sanitize, bounds_check=bounds_check,
+        ))
+
+    def _interpret(self, spec: KernelSpec, image: np.ndarray, *, tp, device,
+                   opts, sanitize, bounds_check) -> SatRun:
+        """The simulator run behind :meth:`run`, booking nothing."""
         dev = get_device(device)
         orig = image.shape
         padded = pad_matrix(image.astype(tp.input.np_dtype, copy=False), *spec.pad)
@@ -151,9 +166,6 @@ class GpusimBackend:
         )
         if sp is not None:
             sp.attrs["modeled_us"] = run.time_us
-        m = get_metrics()
-        m.counter("sat.calls", algorithm=spec.algorithm, backend=self.name).inc()
-        m.histogram("sat.modeled_us", algorithm=spec.algorithm).observe(run.time_us)
         return run
 
 
@@ -191,17 +203,14 @@ class HostBackend:
                 with (tracer.span(p.name, category="pass.host")
                       if tracer is not None else nullcontext()):
                     cur = p.host(cur)
-        get_metrics().counter(
-            "sat.calls", algorithm=spec.algorithm, backend=self.name
-        ).inc()
-        return SatRun(
+        return _book_call(spec, SatRun(
             output=np.ascontiguousarray(crop(cur, orig)),
             launches=[],
             algorithm=spec.algorithm,
             device=getattr(device, "name", str(device)),
             pair=tp.name,
             backend="host",
-        )
+        ))
 
 
 def ensure_compiled(plan, spec: KernelSpec, tp: TypePair,
@@ -211,9 +220,8 @@ def ensure_compiled(plan, spec: KernelSpec, tp: TypePair,
     Returns whether ``plan.compiled`` is available afterwards.  A
     deterministic :class:`~repro.compile.lower.CompileError` pins the
     plan's attempt budget so the bucket stays on the interpreted path;
-    compile outcomes are exported as ``compile.miss`` (a fresh successful
-    lowering) and ``compile.fallback`` (lowering refused) counters plus a
-    warning-level ``compile.fallback`` trace event.
+    compile outcomes are booked as ``compile.miss`` (a fresh successful
+    lowering) or through :func:`book_compile_fallback` (lowering refused).
     """
     if plan.compiled is not None:
         return True
@@ -221,7 +229,6 @@ def ensure_compiled(plan, spec: KernelSpec, tp: TypePair,
         return False
     from ..compile.lower import CompileError, compile_plan
 
-    m = get_metrics()
     tracer = current_tracer()
     plan.compile_attempts += 1
     try:
@@ -230,27 +237,31 @@ def ensure_compiled(plan, spec: KernelSpec, tp: TypePair,
                           bucket=plan.key.bucket)
               if tracer is not None else nullcontext()):
             plan.compiled = compile_plan(spec, plan.launch_plans, tp, opts)
-        m.counter("compile.miss", algorithm=spec.algorithm).inc()
-        timeline_count("compile_misses")
-        return True
     except CompileError as e:
         plan.compile_attempts = plan.MAX_COMPILE_ATTEMPTS
-        m.counter("compile.fallback", algorithm=spec.algorithm).inc()
-        timeline_count("compile_fallbacks")
-        if tracer is not None:
-            tracer.event("compile.fallback", category="compile",
-                         level="warning", algorithm=spec.algorithm,
-                         reason=str(e))
+        book_compile_fallback(spec.algorithm, e)
         return False
+    count("compile.miss", algorithm=spec.algorithm)
+    return True
+
+
+def book_compile_fallback(algorithm: str, reason: Exception) -> None:
+    """Book a refused lowering or a program that raised: the
+    ``compile.fallback`` count plus its warning-level trace event."""
+    count("compile.fallback", algorithm=algorithm)
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.event("compile.fallback", category="compile",
+                     level="warning", algorithm=algorithm,
+                     reason=str(reason))
 
 
 class CompiledBackend:
     """Execute a :class:`KernelSpec` through compiled launch plans.
 
     Plans live in the default engine's :class:`~repro.engine.plan.
-    LaunchPlanCache` (keyed with ``backend="compiled"``), so single
-    ``sat()`` calls and ``sat_batch()`` share warm programs.  The
-    lifecycle per shape bucket:
+    LaunchPlanCache`, so single ``sat()`` calls and ``sat_batch()``
+    share warm programs.  The lifecycle per shape bucket:
 
     * **cold** — run the fully-accounted simulator, record the launch
       plan, lower it; the returned run carries the real recorded counters
@@ -296,7 +307,6 @@ class CompiledBackend:
         key = PlanKey.make(
             spec.algorithm, dev.name, tp.name, bucket,
             dict(pass_opts, bounds_check=bounds_check),
-            backend=self.name,
         )
         # Warm calls find their plan; only a new bucket builds the spec.
         plan = cache.get(key)
@@ -304,22 +314,20 @@ class CompiledBackend:
             plan = cache.get_or_create(
                 key, spec.batch_spec(tp, dev, **pass_opts)
             )
-        m = get_metrics()
         tracer = current_tracer()
 
         if not plan.recorded:
             cache.note_miss()
-            run0 = gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
-                              sanitize=False, bounds_check=False)
+            run0 = gpusim._interpret(spec, image, tp=tp, device=dev,
+                                     opts=pass_opts, sanitize=False,
+                                     bounds_check=False)
             for lp, s in zip(plan.launch_plans, run0.launches):
                 lp.record(replace(s, counters=s.counters.copy()))
             ensure_compiled(plan, spec, tp, pass_opts)
             # The cold run *is* the recorded template; report it under
             # this backend so callers see one consistent executor.
             run0.backend = self.name
-            m.counter("sat.calls", algorithm=spec.algorithm,
-                      backend=self.name).inc()
-            return run0
+            return _book_call(spec, run0)
 
         cache.note_hit()
         if plan.compiled is None and not ensure_compiled(
@@ -338,11 +346,7 @@ class CompiledBackend:
             # Execute-time divergence: drop the program (the recorded plan
             # stays) and rerun interpreted; the next call may recompile.
             plan.compiled = None
-            m.counter("compile.fallback", algorithm=spec.algorithm).inc()
-            if tracer is not None:
-                tracer.event("compile.fallback", category="compile",
-                             level="warning", algorithm=spec.algorithm,
-                             reason=str(e))
+            book_compile_fallback(spec.algorithm, e)
             return gpusim.run(spec, image, tp=tp, device=dev, opts=pass_opts,
                               sanitize=False, bounds_check=False)
         run = SatRun(
@@ -355,13 +359,8 @@ class CompiledBackend:
         )
         if sp is not None:
             sp.attrs["modeled_us"] = run.time_us
-        m.counter("compile.hit", algorithm=spec.algorithm).inc()
-        m.counter("sat.calls", algorithm=spec.algorithm,
-                  backend=self.name).inc()
-        m.histogram("sat.modeled_us", algorithm=spec.algorithm).observe(
-            run.time_us
-        )
-        return run
+        count("compile.hit", algorithm=spec.algorithm)
+        return _book_call(spec, run)
 
 
 _GPUSIM = GpusimBackend()

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exec.config import resolve_execution
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count
 from ..obs.trace import annotate_launch, current_tracer
 from .block import KernelContext
 from .counters import CostCounters
@@ -164,7 +164,7 @@ def replay_kernel(
     )
     ctx.kernel_name = s.name
     tracer = current_tracer()
-    get_metrics().counter("gpusim.replays", kernel=s.name).inc()
+    count("gpusim.replays", kernel=s.name)
     with (tracer.span(s.name, category="replay", grid=ctx.grid)
           if tracer is not None else nullcontext()) as sp:
         fn(ctx, *args)
@@ -211,7 +211,7 @@ def launch_kernel(
     if sanitize:
         ctx.sanitizer = Sanitizer(ctx)
     tracer = current_tracer()
-    get_metrics().counter("gpusim.launches", kernel=kname).inc()
+    count("gpusim.launches", kernel=kname)
     with (tracer.span(kname, category="launch")
           if tracer is not None else nullcontext()) as sp:
         fn(ctx, *args)

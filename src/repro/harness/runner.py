@@ -27,7 +27,7 @@ from ..exec.config import ExecutionConfig, execution
 from ..gpusim.cost.projection import PassScaling, project_stats
 from ..gpusim.device import get_device
 from ..gpusim.launch import LaunchStats
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, get_metrics
 from ..obs.trace import current_tracer
 from ..sat.api import ALGORITHMS
 from ..sat.naive import sat_reference
@@ -124,7 +124,7 @@ class Runner:
         tp = parse_pair(pair)
         dev = get_device(device)
         img = random_matrix(size, tp.input, seed=self.seed)
-        get_metrics().counter("runner.calibrations", algorithm=algorithm).inc()
+        count("runner.calibrations", algorithm=algorithm)
         tracer = current_tracer()
         with (tracer.span(f"calibrate:{algorithm}", category="calibrate",
                           algorithm=algorithm, pair=tp.name, device=dev.name,
@@ -166,7 +166,7 @@ class Runner:
                 f"{algorithm}: {len(base.launches)} kernels but "
                 f"{len(scalings)} scaling descriptors"
             )
-        get_metrics().counter("runner.projections", algorithm=algorithm).inc()
+        count("runner.projections", algorithm=algorithm)
         launches = [
             project_stats(stats, cal, size, scal)
             for stats, scal in zip(base.launches, scalings)

@@ -13,10 +13,13 @@ serving layer):
 * :mod:`.context` — :class:`~repro.obs.context.TraceContext` carries span
   lineage across the serve thread boundary, and
   :class:`~repro.obs.context.RequestTimeline` decomposes each response's
-  wall latency into stages that sum exactly.
+  wall latency into stages that sum exactly, annotated with what was
+  booked while it executed.
 * :mod:`.metrics` — an in-process :class:`~repro.obs.metrics.MetricsRegistry`
   (counters/gauges/histograms) aggregating across ``sat()``/``sat_batch()``
   calls; histograms keep log-spaced buckets for live p50/p95/p99.
+  :func:`~repro.obs.metrics.count` / ``observe`` book into the registry,
+  the request timeline and the innermost open span in one call.
 * :mod:`.quantiles` — the shared percentile/bucket math behind the
   histograms, the load generator and the Prometheus exposition.
 * :mod:`.slo` — configurable objectives (latency, error rate, coalesce
@@ -35,8 +38,6 @@ from .context import (
     RequestTimeline,
     TraceContext,
     recording_timeline,
-    timeline_add,
-    timeline_count,
 )
 from .exporters import (
     pass_breakdown,
@@ -49,7 +50,7 @@ from .exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import MetricsRegistry, get_metrics, reset_metrics
+from .metrics import MetricsRegistry, count, get_metrics, observe, reset_metrics
 from .quantiles import percentiles
 from .slo import SloObjective, SloTracker, default_objectives
 from .trace import (
@@ -75,9 +76,9 @@ __all__ = [
     "TraceContext",
     "RequestTimeline",
     "recording_timeline",
-    "timeline_add",
-    "timeline_count",
     "MetricsRegistry",
+    "count",
+    "observe",
     "get_metrics",
     "reset_metrics",
     "percentiles",

@@ -23,17 +23,19 @@ in a per-thread stack.  This module closes the gap with two pieces:
 
     ``submit → queue_wait → dispatch_wait → execute → finish``
 
-    which therefore **sum exactly** to ``latency_us``.  Orthogonal
-    attributions that overlap the stages (modeled kernel µs, plan.decide
-    µs, plan/compile cache hits, shard carry overhead) ride along as
-    ``annotations`` — they explain *execute*, they do not re-partition
-    it.
+    which therefore **sum exactly** to ``latency_us``.  Everything the
+    stack books while the request executes (modeled kernel µs, plan and
+    compile cache traffic, shard carry time...) rides along as
+    ``annotations`` under its metric name — they explain *execute*, they
+    do not re-partition it.
 
 The annotations are gathered through a context-local accumulator
-(:func:`recording_timeline` / :func:`timeline_add`): the engine, planner
-and shard executor call the guarded helpers unconditionally, and when no
-accumulator is installed the helpers reduce to a single context-var read
-— the same disabled-is-a-no-op invariant the tracer keeps.
+installed by :func:`recording_timeline`.  Every
+:func:`repro.obs.metrics.count` / :func:`~repro.obs.metrics.observe`
+booking adds into it, so an annotation is exactly the registry delta
+booked in that window; with no accumulator installed a booking pays a
+single context-var read for this sink — the same disabled-is-a-no-op
+invariant the tracer keeps.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ __all__ = [
     "TraceContext",
     "RequestTimeline",
     "recording_timeline",
-    "timeline_add",
-    "timeline_count",
-    "timeline_active",
 ]
 
 
@@ -128,11 +127,11 @@ class RequestTimeline:
 
     The five stage fields are consecutive intervals of one monotonic
     clock and sum **exactly** to ``latency_us``; ``annotations`` carries
-    overlapping attributions (modeled kernel µs, plan/compile cache
-    traffic, shard carry) that explain the execute stage without
-    re-partitioning it.  Annotations are batch-scoped: every request
-    coalesced into a batch shares its execute window and therefore its
-    annotations.
+    the registry deltas booked while the request executed, keyed by
+    metric name (``engine.modeled_kernel_us``, ``compile.hit``...), which
+    explain the execute stage without re-partitioning it.  Annotations
+    are batch-scoped: every request coalesced into a batch shares its
+    execute window and therefore its annotations.
     """
 
     submit_us: float = 0.0
@@ -195,9 +194,9 @@ def recording_timeline(acc: Optional[Dict[str, float]] = None,
                        ) -> Iterator[Dict[str, float]]:
     """Install an annotation accumulator for the enclosed work.
 
-    The worker wraps each batch execution in this; the engine, planner
-    and shard executor then feed it through :func:`timeline_add` /
-    :func:`timeline_count` without knowing whether anyone is listening.
+    The worker wraps each batch execution in this; every
+    :func:`~repro.obs.metrics.count` / :func:`~repro.obs.metrics.observe`
+    booked inside adds into ``acc`` under its metric name.
     """
     if acc is None:
         acc = {}
@@ -206,23 +205,3 @@ def recording_timeline(acc: Optional[Dict[str, float]] = None,
         yield acc
     finally:
         _timeline.reset(token)
-
-
-def timeline_active() -> bool:
-    """Whether a timeline accumulator is installed (one context-var read)."""
-    return _timeline.get() is not None
-
-
-def timeline_add(name: str, value: float) -> None:
-    """Accumulate ``value`` under ``name`` — a guarded no-op when no
-    timeline is recording (the hot-path cost is one context-var read)."""
-    acc = _timeline.get()
-    if acc is not None:
-        acc[name] = acc.get(name, 0.0) + float(value)
-
-
-def timeline_count(name: str, n: int = 1) -> None:
-    """Count an occurrence (plan hit, compile miss...) into the timeline."""
-    acc = _timeline.get()
-    if acc is not None:
-        acc[name] = acc.get(name, 0.0) + n

@@ -4,9 +4,14 @@ One process-global :class:`MetricsRegistry` (:func:`get_metrics`)
 aggregates across every ``sat()`` / ``sat_batch()`` call — LightScan-style
 throughput figures (images/s, effective GB/s) and plan-cache / compile
 hit rates fall out of the same data instead of being recomputed ad hoc per
-benchmark.  Instruments are labelled, e.g.::
-
-    get_metrics().counter("sat.calls", algorithm="brlt_scanrow").inc()
+benchmark.  The stack books counters and histograms with one call,
+``count("sat.calls", algorithm=..., backend=...)`` /
+``observe("sat.modeled_us", us, algorithm=...)``, which writes the
+labelled registry instrument, the installed
+:func:`~repro.obs.context.recording_timeline` accumulator and
+``attrs[name]`` of the innermost open span (both summed over labels), so
+``/metrics``, timelines and traces cannot disagree.  Gauges are levels,
+not per-request facts, and stay plain ``get_metrics().gauge(...)`` writes.
 
 Updates are O(1) dictionary operations with no I/O; the registry never
 touches simulator state, so it cannot perturb counters, timings or
@@ -31,18 +36,22 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple
 
+from .context import _timeline
 from .quantiles import (
     DEFAULT_PERCENTILES,
     bucket_index,
     bucket_quantile,
 )
+from .trace import _open_span
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "count",
     "get_metrics",
+    "observe",
     "reset_metrics",
 ]
 
@@ -289,3 +298,24 @@ def get_metrics() -> MetricsRegistry:
 def reset_metrics() -> None:
     """Clear the process-global registry (tests, benchmark isolation)."""
     _global.reset()
+
+
+def count(name: str, n: float = 1, **labels) -> None:
+    """Book ``n`` occurrences of ``name`` into every view (module docs)."""
+    _global.counter(name, **labels).inc(n)
+    _book(name, n)
+
+
+def observe(name: str, value: float, **labels) -> None:
+    """Book one ``value`` of histogram ``name`` into every view."""
+    _global.histogram(name, **labels).observe(value)
+    _book(name, value)
+
+
+def _book(name: str, value: float) -> None:
+    acc = _timeline.get()
+    if acc is not None:
+        acc[name] = acc.get(name, 0.0) + value
+    sp = _open_span.get()
+    if sp is not None:
+        sp.attrs[name] = sp.attrs.get(name, 0) + value

@@ -43,7 +43,8 @@ plus the modeled :class:`~repro.gpusim.cost.model.KernelTiming` components
 (microseconds).  Kernel-phase spans carry the dependency-chain clock at
 entry and exit (``chain0``/``chain1``), which is how the Chrome exporter
 places them on the modeled timeline.  All attribute collection happens by
-*reading* simulator state, never writing it.
+*reading* simulator state, never writing it.  Metric bookings land in
+the innermost open span, never in launch, replay or kernel-phase spans.
 """
 
 from __future__ import annotations
@@ -214,9 +215,11 @@ class Tracer:
         with self._lock:
             self.spans.append(sp)
         self._stack.append(sp)
+        token = _open_span.set(sp)
         try:
             yield sp
         finally:
+            _open_span.reset(token)
             self._stack.pop()
             sp.t1_ns = time.perf_counter_ns()
 
@@ -286,6 +289,12 @@ class Tracer:
 
 _UNSET = object()
 
+#: Innermost :meth:`Tracer.span` open in this context (the span sink of
+#: metric bookings); ``None`` outside spans and in disabled scopes.
+_open_span: ContextVar[Optional[Span]] = ContextVar(
+    "repro_obs_open_span", default=None
+)
+
 #: Innermost :func:`tracing` context; ``None`` means explicitly disabled.
 _context: ContextVar[Any] = ContextVar("repro_obs_tracer", default=_UNSET)
 
@@ -346,9 +355,13 @@ def tracing(tracer: Optional[Tracer] = None, enabled: bool = True) -> Iterator[O
     """
     tr = (tracer if tracer is not None else Tracer()) if enabled else None
     token = _context.set(tr)
+    # A disabled scope books nothing into the spans open around it.
+    span_token = _open_span.set(None) if tr is None else None
     try:
         yield tr
     finally:
+        if span_token is not None:
+            _open_span.reset(span_token)
         _context.reset(token)
 
 

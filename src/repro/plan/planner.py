@@ -40,8 +40,7 @@ from ..dtypes import parse_pair
 from ..engine.lru import LRUCache
 from ..exec.config import ExecutionConfig
 from ..gpusim.device import get_device
-from ..obs.context import timeline_add
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, observe
 from ..obs.trace import current_tracer
 
 __all__ = [
@@ -297,11 +296,10 @@ class Planner:
         decision, created = self._cache.get_or_create(
             key, lambda: self._compute(dev.name, tp.name, bucket, bb))
         if created:
-            get_metrics().counter("plan.decisions").inc()
-        # Serving-timeline attribution (no-op outside a serve request):
-        # cache hits cost microseconds, cold ranking dominates — both are
+            count("plan.decisions")
+        # Cache hits cost microseconds, cold ranking dominates — both are
         # honest parts of the request's submit/execute path.
-        timeline_add("plan_decide_us", (_time.perf_counter() - t0) * 1e6)
+        observe("plan.decide_us", (_time.perf_counter() - t0) * 1e6)
         return decision
 
     def _compute(self, device: str, pair: str, bucket: Tuple[int, int],

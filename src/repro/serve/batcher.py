@@ -47,7 +47,7 @@ from ..engine.scheduler import BatchScheduler
 from ..exec.config import ExecutionConfig
 from ..exec.registry import get_kernel_spec, has_kernel_spec
 from ..obs.context import TraceContext, recording_timeline
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, get_metrics, observe
 from ..obs.trace import Span, Tracer
 from .request import ServeRequest
 
@@ -310,10 +310,8 @@ class DynamicBatcher:
             if grp.size_ready:
                 self._admit(key, grp, "size", pend.arrival)
             self._cond.notify_all()
-        m = get_metrics()
-        m.counter("serve.requests", kind=request.kind,
-                  algorithm=key.algorithm).inc()
-        m.gauge("serve.queue_depth").set(self.queue_depth)
+        count("serve.requests", kind=request.kind, algorithm=key.algorithm)
+        get_metrics().gauge("serve.queue_depth").set(self.queue_depth)
         return fut
 
     # -- admission (callers hold self._cond) -----------------------------
@@ -325,12 +323,10 @@ class DynamicBatcher:
         self._ready.append(batch)
         self._pending -= len(grp.entries)
         self.admitted_batches += 1
-        m = get_metrics()
-        m.counter("serve.batches", reason=reason).inc()
-        m.histogram("serve.batch_size").observe(len(grp.entries))
-        m.histogram("serve.batch_wait_us").observe(
-            max(0.0, now - grp.entries[0].arrival) * 1e6
-        )
+        count("serve.batches", reason=reason)
+        observe("serve.batch_size", len(grp.entries))
+        observe("serve.batch_wait_us",
+                max(0.0, now - grp.entries[0].arrival) * 1e6)
 
     def _promote_due(self, now: float) -> None:
         due = [

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 
 from ..engine.batch import Engine
 from ..obs.context import RequestTimeline, TraceContext, recording_timeline
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, observe
 from ..obs.trace import tracing
 from .batcher import Batch, DynamicBatcher
 from .request import ServeError, ServeResponse
@@ -149,7 +149,6 @@ class WorkerPool:
         return tracer, span
 
     def _execute(self, batch: Batch) -> None:
-        m = get_metrics()
         key = batch.key
         tracer, bspan = self._open_batch_span(batch)
         bctx = (TraceContext(trace_id=bspan.trace_id, span_id=bspan.id)
@@ -164,8 +163,7 @@ class WorkerPool:
             if bspan is not None:
                 bspan.attrs["error"] = type(exc).__name__
                 tracer.end_span(bspan)
-            m.counter("serve.worker_error",
-                      error=type(exc).__name__).inc()
+            count("serve.worker_error", error=type(exc).__name__)
             self._execute_solo(batch, exc)
             return
         t_executed = time.perf_counter()
@@ -178,7 +176,6 @@ class WorkerPool:
 
     def _execute_solo(self, batch: Batch, batch_exc: Exception) -> None:
         """Batched launch failed: isolate the poison by re-running solo."""
-        m = get_metrics()
         for entry in batch.entries:
             if entry.future.done():  # pragma: no cover - defensive
                 continue
@@ -190,9 +187,8 @@ class WorkerPool:
                         run = self._run_group([entry.request.image],
                                               batch.key)
             except Exception as exc:
-                m.counter("serve.worker_error",
-                          error=type(exc).__name__).inc()
-                m.counter("serve.errors", code="execution_error").inc()
+                count("serve.worker_error", error=type(exc).__name__)
+                count("serve.errors", code="execution_error")
                 self._finish_span(entry, error=type(exc).__name__)
                 entry.future.set_exception(ServeError(
                     code="execution_error",
@@ -222,11 +218,10 @@ class WorkerPool:
                   t_started: float = 0.0, t_executed: float = 0.0,
                   annotations: Optional[Dict[str, float]] = None) -> None:
         """Post-process and resolve one request's future."""
-        m = get_metrics()
         try:
             result = entry.request.finish(table)
         except Exception as exc:
-            m.counter("serve.errors", code="bad_request").inc()
+            count("serve.errors", code="bad_request")
             self._finish_span(entry, error=type(exc).__name__)
             entry.future.set_exception(ServeError(
                 code="bad_request",
@@ -264,21 +259,19 @@ class WorkerPool:
             timeline=timeline,
             trace_id=entry.ctx.trace_id if entry.ctx is not None else 0,
         )
-        m.counter("serve.responses", kind=entry.request.kind).inc()
+        count("serve.responses", kind=entry.request.kind)
         if resp.coalesced:
-            m.counter("serve.coalesced_requests").inc()
-        m.histogram("serve.request_latency_us").observe(timeline.latency_us)
+            count("serve.coalesced_requests")
+        observe("serve.request_latency_us", timeline.latency_us)
         self._finish_span(entry, batch_size=depth, solo=solo,
                           latency_us=timeline.latency_us)
         entry.future.set_result(resp)
 
     def _fail_remaining(self, batch: Batch, exc: BaseException) -> None:
-        get_metrics().counter("serve.worker_error",
-                              error=type(exc).__name__).inc()
+        count("serve.worker_error", error=type(exc).__name__)
         for entry in batch.entries:
             if not entry.future.done():
-                get_metrics().counter("serve.errors",
-                                      code="execution_error").inc()
+                count("serve.errors", code="execution_error")
                 self._finish_span(entry, error=type(exc).__name__)
                 entry.future.set_exception(ServeError(
                     code="execution_error",

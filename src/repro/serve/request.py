@@ -161,8 +161,8 @@ class ServeResponse:
     #: Whether the underlying launch was shared with other requests.
     coalesced: bool = False
     #: Where the latency went: stage decomposition summing exactly to
-    #: ``latency_us``, plus batch-scoped annotations (modeled kernel µs,
-    #: plan/compile cache traffic, shard carry).  Always populated.
+    #: ``latency_us``, plus the batch-scoped metric deltas booked while
+    #: it executed, keyed by metric name.  Always populated.
     timeline: Optional[RequestTimeline] = None
     #: Trace id of the request's span tree (0 when tracing was off).
     trace_id: int = 0

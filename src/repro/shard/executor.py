@@ -49,8 +49,7 @@ from ..engine.scheduler import TilePlan, TileScheduler
 from ..exec.registry import get_kernel_spec
 from ..gpusim.device import get_device, parse_device_set
 from ..gpusim.stream import D2D_ALPHA, D2D_BW, H2D_BW, DeviceSet, SimDevice
-from ..obs.context import timeline_add
-from ..obs.metrics import get_metrics
+from ..obs.metrics import count, observe
 from ..obs.trace import resolve_tracer
 from ..sat.common import SatRun
 from .descriptor import DescriptorChain, LookbackStats
@@ -439,18 +438,14 @@ def sharded_sat(
         "tiles_per_s": (plan.n_tiles / rep["makespan_s"]
                         if rep["makespan_s"] else 0.0),
     })
-    m = get_metrics()
-    m.counter("shard.runs", algorithm=algorithm).inc()
-    m.counter("shard.tiles", algorithm=algorithm).inc(plan.n_tiles)
-    m.counter("shard.carry_ops").inc(carry_ops)
-    # Serving-timeline attribution: modeled carry + copy time a sharded
-    # request spent off the kernel path (no-op outside a serve request).
-    timeline_add("shard_carry_us", (cb + pb) * 1e6)
-    timeline_add("shard_kernel_us", kb * 1e6)
-    m.counter("shard.lookback.steps").inc(row_stats.steps + col_stats.steps)
-    m.counter("shard.lookback.deferred").inc(
-        row_stats.deferred + col_stats.deferred
-    )
+    count("shard.runs", algorithm=algorithm)
+    count("shard.tiles", plan.n_tiles, algorithm=algorithm)
+    count("shard.carry_ops", carry_ops)
+    # Modeled carry + copy time the run spent off the kernel path.
+    observe("shard.carry_us", (cb + pb) * 1e6)
+    observe("shard.kernel_us", kb * 1e6)
+    count("shard.lookback.steps", row_stats.steps + col_stats.steps)
+    count("shard.lookback.deferred", row_stats.deferred + col_stats.deferred)
     if tracer:
         for d in dset:
             tracer.event(
@@ -589,8 +584,7 @@ def sharded_sat_series(
         "carry_passes": 1 if temporal else 0,
         "lookback": chain.stats.to_dict() if chain else None,
     })
-    m = get_metrics()
-    m.counter("shard.series.frames", algorithm=algorithm).inc(n)
+    count("shard.series.frames", n, algorithm=algorithm)
     if tracer:
         tracer.event("shard.series", category="shard", frames=n,
                      temporal=temporal, makespan_s=rep["makespan_s"])

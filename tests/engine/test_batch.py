@@ -134,6 +134,32 @@ class TestWarmGpusimBatch:
         assert_run_pairs_identical(run.runs, solo)
 
 
+    def test_backends_share_one_plan_per_bucket(self, monkeypatch):
+        """A gpusim and a compiled batch on one bucket record one plan and
+        lower one program; each run keeps its requested backend's label,
+        and a bounds-checked batch still keys its own plan."""
+        monkeypatch.setenv("REPRO_GPUSIM_BOUNDS_CHECK", "0")
+        imgs = [make_image((64, 64), "8u32s", seed=i) for i in range(3)]
+        reset_metrics()
+        eng = Engine()
+        g = sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
+                      backend="gpusim", engine=eng)
+        c = sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
+                      backend="compiled", engine=eng)
+        assert len(eng.cache) == 1
+        m = get_metrics()
+        assert m.counter_total("compile.miss") == 1
+        assert m.counter_total("engine.plan_misses") == 1
+        assert (c.plan_hits, c.plan_misses) == (3, 0)
+        assert {r.backend for r in g.runs} == {"gpusim"}
+        assert {r.backend for r in c.runs} == {"compiled"}
+        assert_run_pairs_identical(c.runs, g.runs)
+
+        sat_batch(imgs, pair="8u32s", algorithm="brlt_scanrow",
+                  backend="gpusim", bounds_check=True, engine=eng)
+        assert len(eng.cache) == 2
+
+
 class TestSanitizedBatch:
     def test_sanitize_falls_back_to_cold_per_image(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPUSIM_SANITIZE", "1")
@@ -173,8 +199,9 @@ class TestUnplannedAccounting:
         with recording_timeline() as acc:
             sat_batch(make_images([(64, 64)] * 2), pair="8u32s",
                       backend="host", engine=Engine())
-        assert acc["unplanned"] == 2.0
-        assert acc["plan_misses"] == 0.0 and acc["plan_hits"] == 0.0
+        assert acc["engine.unplanned"] == 2.0
+        assert acc["engine.plan_misses"] == 0.0
+        assert acc["engine.plan_hits"] == 0.0
 
     def test_planned_batches_report_no_unplanned(self):
         run = sat_batch(make_images([(64, 64)] * 3), pair="8u32s",

@@ -33,8 +33,8 @@ def _fresh(monkeypatch):
     default_engine().cache.clear()
 
 
-def _compiled_plans(cache):
-    return [p for p in cache._plans.values() if p.key.backend == "compiled"]
+def _plans(cache):
+    return list(cache._plans.values())
 
 
 class TestLifecycle:
@@ -45,7 +45,7 @@ class TestLifecycle:
         assert cold.backend == "compiled"
         assert m.counter_total("compile.miss") == 1
         assert m.counter_total("compile.hit") == 0
-        (plan,) = _compiled_plans(default_engine().cache)
+        (plan,) = _plans(default_engine().cache)
         assert plan.recorded and plan.compiled is not None
         assert plan.compiled.executions == 0
 
@@ -71,7 +71,7 @@ class TestLifecycle:
         sat(img, pair=pair, algorithm=algo, scan=scan, backend="compiled")
         warm = sat(img, pair=pair, algorithm=algo, scan=scan,
                    backend="compiled")
-        (plan,) = _compiled_plans(default_engine().cache)
+        (plan,) = _plans(default_engine().cache)
         assert plan.compiled.executions == 1
         assert plan.compiled.transposes == 0
         assert warm.output.tobytes() == ref.output.tobytes()
@@ -93,7 +93,7 @@ class TestLifecycle:
         run = sat(img, pair="32f32f", algorithm="brlt_scanrow",
                   backend="compiled")
         assert m.counter_total("compile.fallback") == 1
-        (plan,) = _compiled_plans(default_engine().cache)
+        (plan,) = _plans(default_engine().cache)
         assert plan.compiled is None
         with pytest.raises(CompileError, match="both axes"):
             compile_plan(brlt_scanrow.SPEC, plan.launch_plans,
@@ -104,7 +104,7 @@ class TestLifecycle:
         img = make_image((40, 40), "8u32s", seed=3)
         ref = sat(img, pair="8u32s")
         sat(img, pair="8u32s", backend="compiled")
-        (plan,) = _compiled_plans(default_engine().cache)
+        (plan,) = _plans(default_engine().cache)
 
         def boom(stack):
             raise RuntimeError("lowered program diverged")
@@ -135,7 +135,7 @@ class TestLifecycle:
         cold = sat(img, pair="32f32f", algorithm="scanrow_brlt",
                    scan="brent_kung", backend="compiled")
         assert m.counter_total("compile.fallback") == 1
-        (plan,) = _compiled_plans(default_engine().cache)
+        (plan,) = _plans(default_engine().cache)
         assert plan.compiled is None
         assert plan.compile_attempts == plan.MAX_COMPILE_ATTEMPTS
 
@@ -152,7 +152,7 @@ class TestLifecycle:
         run = sat(img, pair="8u32s", backend="compiled", sanitize=True)
         assert run.backend == "gpusim"
         assert all(s.timing.sanitizer is not None for s in run.launches)
-        assert _compiled_plans(default_engine().cache) == []
+        assert _plans(default_engine().cache) == []
 
 
 class TestBatchLifecycle:
@@ -161,7 +161,7 @@ class TestBatchLifecycle:
         ref = Engine().run_batch(imgs, pair="8u32s")
         eng = Engine()
         eng.run_batch(imgs, pair="8u32s", backend="compiled")
-        (plan,) = _compiled_plans(eng.cache)
+        (plan,) = _plans(eng.cache)
 
         def boom(stack):
             raise RuntimeError("lowered program diverged")

@@ -11,10 +11,8 @@ from repro.obs.context import (
     RequestTimeline,
     TraceContext,
     recording_timeline,
-    timeline_active,
-    timeline_add,
-    timeline_count,
 )
+from repro.obs.metrics import count, get_metrics, observe, reset_metrics
 from repro.obs.trace import Tracer
 
 
@@ -114,42 +112,41 @@ class TestRequestTimeline:
 
 
 class TestTimelineAccumulator:
+    """The timeline sink of :func:`repro.obs.metrics.count` / ``observe``."""
+
     def test_noop_when_not_recording(self):
-        assert not timeline_active()
-        timeline_add("x", 1.0)  # must not raise, must not record anywhere
-        timeline_count("y")
-        assert not timeline_active()
+        reset_metrics()
+        count("x.y")  # no timeline installed: only the registry sees it
+        observe("x.us", 1.0)
+        assert get_metrics().value("x.y") == 1.0
+        assert get_metrics().histogram("x.us").count == 1
 
     def test_records_into_installed_accumulator(self):
         with recording_timeline() as acc:
-            assert timeline_active()
-            timeline_add("modeled_kernel_us", 10.0)
-            timeline_add("modeled_kernel_us", 2.5)
-            timeline_count("plan_hits", 3)
-        assert acc == {"modeled_kernel_us": 12.5, "plan_hits": 3.0}
-        assert not timeline_active()
+            observe("engine.modeled_kernel_us", 10.0, algorithm="a")
+            observe("engine.modeled_kernel_us", 2.5, algorithm="b")
+            count("engine.plan_hits", 3)
+        # Summed over labels, keyed by metric name.
+        assert acc == {"engine.modeled_kernel_us": 12.5,
+                       "engine.plan_hits": 3.0}
 
     def test_nested_scopes_restore_outer(self):
         with recording_timeline() as outer:
-            timeline_add("a", 1.0)
+            count("a")
             with recording_timeline() as inner:
-                timeline_add("a", 5.0)
-            timeline_add("a", 1.0)
+                count("a", 5)
+            count("a")
         assert outer == {"a": 2.0}
         assert inner == {"a": 5.0}
 
     def test_accumulator_is_thread_local(self):
         # ContextVars do not leak across thread spawns: a recording scope
-        # on one thread must not capture another thread's annotations.
-        seen = {}
-
+        # on one thread must not capture another thread's bookings.
         def other():
-            seen["active"] = timeline_active()
-            timeline_add("x", 99.0)
+            count("x", 99)
 
         with recording_timeline() as acc:
             t = threading.Thread(target=other)
             t.start()
             t.join()
-        assert seen["active"] is False
         assert acc == {}

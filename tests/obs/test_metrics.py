@@ -7,8 +7,17 @@ import json
 import pytest
 
 from repro import sat, sat_batch
-from repro.engine import Engine
-from repro.obs import MetricsRegistry, get_metrics, reset_metrics
+from repro.engine import Engine, default_engine
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    count,
+    get_metrics,
+    observe,
+    recording_timeline,
+    reset_metrics,
+    tracing,
+)
 
 from ..helpers import make_image
 
@@ -100,6 +109,39 @@ class TestInstruments:
         assert reg.value("x") is None
 
 
+class TestBooking:
+    """``count``/``observe`` write the registry, the installed timeline
+    and the innermost open span in one call."""
+
+    def test_one_call_feeds_every_view(self):
+        reset_metrics()
+        tr = Tracer()
+        with tracing(tr), tr.span("outer") as outer, \
+                recording_timeline() as acc:
+            count("t.hits", 2, kind="a")
+            with tr.span("inner") as inner:
+                count("t.hits", kind="b")
+                observe("t.us", 1.5)
+            observe("t.us", 0.5)
+        m = get_metrics()
+        assert m.value("t.hits", kind="a") == 2.0
+        assert m.value("t.hits", kind="b") == 1.0
+        assert m.histogram("t.us").total == 2.0
+        assert acc == {"t.hits": 3.0, "t.us": 2.0}
+        assert outer.attrs == {"t.hits": 2, "t.us": 0.5}
+        assert inner.attrs == {"t.hits": 1, "t.us": 1.5}
+
+    def test_spans_outside_the_stack_and_disabled_scopes_book_nothing(self):
+        tr = Tracer()
+        with tracing(tr), tr.span("outer") as outer:
+            started = tr.start_span("started")
+            with tracing(enabled=False):
+                count("t.hidden")
+            tr.end_span(started)
+        count("t.after")
+        assert outer.attrs == {} and started.attrs == {}
+
+
 class TestStackIntegration:
     @pytest.fixture(autouse=True)
     def _batched_mode(self):
@@ -121,6 +163,19 @@ class TestStackIntegration:
                        backend="gpusim") == 1.0
         h = m.histogram("sat.modeled_us", algorithm="brlt_scanrow")
         assert h.count == 1 and h.total > 0
+
+    def test_cold_compiled_call_books_one_call(self):
+        default_engine().cache.clear()
+        reset_metrics()
+        img = make_image((72, 40), "8u32s", seed=4)
+        run = sat(img, pair="8u32s", algorithm="brlt_scanrow",
+                  backend="compiled")
+        assert run.backend == "compiled"
+        m = get_metrics()
+        assert m.counter_total("sat.calls") == 1.0
+        assert m.value("sat.calls", algorithm="brlt_scanrow",
+                       backend="compiled") == 1.0
+        assert m.histogram("sat.modeled_us", algorithm="brlt_scanrow").count == 1
 
     def test_batch_increments_engine_and_replay_counters(self):
         reset_metrics()

@@ -193,10 +193,10 @@ class TestTimelines:
         with SatService(workers=2, max_delay_s=0.005) as svc:
             responses = _hammer(svc, imgs, n_clients=4, per_client=4)
         annotated = [r for r in responses
-                     if "modeled_kernel_us" in r.timeline.annotations]
+                     if "engine.modeled_kernel_us" in r.timeline.annotations]
         assert annotated, "no response carried modeled kernel attribution"
         for r in annotated:
-            assert r.timeline.annotations["modeled_kernel_us"] > 0.0
+            assert r.timeline.annotations["engine.modeled_kernel_us"] > 0.0
 
 
     def test_warm_host_requests_are_unplanned(self):
@@ -208,9 +208,9 @@ class TestTimelines:
                 r = svc.request(SatRequest(img, config={"backend": "host"}),
                                 timeout=60)
                 ann = r.timeline.annotations
-                assert ann["unplanned"] == 1.0
-                assert ann.get("plan_misses", 0.0) == 0.0
-                assert ann.get("plan_hits", 0.0) == 0.0
+                assert ann["engine.unplanned"] == 1.0
+                assert ann.get("engine.plan_misses", 0.0) == 0.0
+                assert ann.get("engine.plan_hits", 0.0) == 0.0
 
 
 class TestQuantileAgreement:
